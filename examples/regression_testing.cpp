@@ -35,6 +35,7 @@ const char* verdict_name(core::RegressionStore::Verdict::Kind kind) {
     case Kind::Unchanged: return "unchanged";
     case Kind::PropertyDrift: return "property drift";
     case Kind::StructureChanged: return "STRUCTURE CHANGED";
+    case Kind::SearchBudget: return "undecided (search budget)";
   }
   return "?";
 }

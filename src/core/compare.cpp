@@ -24,7 +24,6 @@ CompareResult compare_graphs(const matcher::InternedGraph& background,
   search.cost_model = matcher::CostModel::OneSided;
   search.candidate_pruning = options.candidate_pruning;
   search.cost_bounding = options.cost_bounding;
-  search.step_budget = options.step_budget;
   options.search.apply(search);
   std::optional<matcher::Matching> matching = matcher::best_subgraph_embedding(
       background, foreground, search, &result.search_stats);

@@ -14,12 +14,9 @@ namespace provmark::core {
 struct CompareOptions {
   bool candidate_pruning = true;
   bool cost_bounding = true;
-  /// Search-step budget for the embedding problem (0 = unlimited).
-  std::size_t step_budget = 0;
-  /// Search-strategy knobs (ordering, decomposition, parallel workers)
-  /// forwarded into the matcher call; a non-zero config budget
-  /// overrides `step_budget`. The pipeline overlays its own
-  /// PipelineOptions::matcher config here.
+  /// Search-strategy knobs (ordering, decomposition, parallel workers,
+  /// step budget) forwarded into the matcher call. The pipeline
+  /// overlays its own PipelineOptions::matcher config here.
   matcher::SearchConfig search;
 };
 
@@ -36,7 +33,9 @@ struct CompareResult {
   int embedding_cost = 0;
   /// True when no structure-preserving embedding of the background into
   /// the foreground exists (monotonicity violated — a garbled recording
-  /// or a recorder bug; the paper's §3.4 "leads to failure" case).
+  /// or a recorder bug; the paper's §3.4 "leads to failure" case), or
+  /// when the step budget cut the search off before it could tell —
+  /// `search_stats.budget_exhausted` separates the two.
   bool embedding_failed = false;
   /// Search statistics of the embedding (parallel workers pre-merged by
   /// the matcher, so callers may sum these across stages verbatim).

@@ -211,6 +211,7 @@ std::optional<GeneralizeResult> generalize_trials(
   const matcher::InternedGraph& b = *trials[(*chosen)[1]];
   std::optional<graph::PropertyGraph> generalized =
       generalize_pair(a, b, options, &result.search_stats);
+  if (result.search_stats.budget_exhausted) return result;
   if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
 
   int before = 0, after = 0;

@@ -51,7 +51,9 @@ struct GeneralizeResult {
   std::size_t discarded = 0;   ///< trials discarded as inconsistent
   int transient_properties = 0;  ///< properties removed as volatile
   /// Statistics of the generalizing isomorphism search (parallel
-  /// workers pre-merged by the matcher; summable across stages).
+  /// workers pre-merged by the matcher; summable across stages). When
+  /// `search_stats.budget_exhausted` is set the step budget cut that
+  /// search off: `graph` is empty and the result must not be used.
   matcher::Stats search_stats;
 };
 
@@ -77,7 +79,9 @@ std::optional<graph::PropertyGraph> generalize_pair(
 
 /// The full stage: partition, discard singletons, pick a representative
 /// pair, generalize. Returns std::nullopt when no class has >= 2 members
-/// (the paper's recording stage would run more trials in that case).
+/// (the paper's recording stage would run more trials in that case);
+/// a search cut off by the step budget returns a result flagged in
+/// `search_stats` instead, since more trials would not help it.
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<graph::PropertyGraph>& trials,
     const GeneralizeOptions& options = {});

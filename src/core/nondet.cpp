@@ -54,10 +54,20 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     }
   }
 
-  // The background is deterministic: generalize it once.
+  // The run-wide matcher strategy, as in run_benchmark.
+  GeneralizeOptions generalize_options = options.generalize;
+  generalize_options.search = options.matcher;
+  CompareOptions compare_options = options.compare;
+  compare_options.search = options.matcher;
+
+  // The background is deterministic: generalize it once. Without it
+  // (no consistent pair, or a search cut off by the step budget) no
+  // schedule can be benchmarked.
   std::optional<GeneralizeResult> bg_general =
-      generalize_trials(bg_graphs, options.generalize);
-  if (!bg_general.has_value()) return out;
+      generalize_trials(bg_graphs, generalize_options);
+  if (!bg_general.has_value() || bg_general->search_stats.budget_exhausted) {
+    return out;
+  }
 
   // Group foreground trials into schedule classes by structural
   // fingerprint, then confirm with the exact matcher (via
@@ -75,11 +85,13 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     members.reserve(cls.size());
     for (std::size_t index : cls) members.push_back(fg_graphs[index]);
     std::optional<GeneralizeResult> fg_general =
-        generalize_trials(members, options.generalize);
+        generalize_trials(members, generalize_options);
     if (!fg_general.has_value()) continue;  // unreachable: all similar
 
     ScheduleResult schedule;
-    schedule.fingerprint = graph::structural_digest(fg_general->graph);
+    // Generalization keeps every element, so the class's own structure
+    // is the schedule's (and stays defined when the search is cut off).
+    schedule.fingerprint = graph::structural_digest(fg_graphs[cls.front()]);
     schedule.support = static_cast<int>(cls.size());
     schedule.result.system = recorder->name();
     schedule.result.benchmark = program.name;
@@ -87,9 +99,18 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     schedule.result.generalized_foreground = fg_general->graph;
     schedule.result.trials_run = static_cast<int>(cls.size());
 
+    if (fg_general->search_stats.budget_exhausted) {
+      schedule.result.status = BenchmarkStatus::Failed;
+      schedule.result.failure_reason = "search-budget";
+      out.schedules.push_back(std::move(schedule));
+      continue;
+    }
     CompareResult compared = compare_graphs(
-        bg_general->graph, fg_general->graph, options.compare);
-    if (compared.embedding_failed) {
+        bg_general->graph, fg_general->graph, compare_options);
+    if (compared.search_stats.budget_exhausted) {
+      schedule.result.status = BenchmarkStatus::Failed;
+      schedule.result.failure_reason = "search-budget";
+    } else if (compared.embedding_failed) {
       schedule.result.status = BenchmarkStatus::Failed;
       schedule.result.failure_reason =
           "background does not embed into this schedule's foreground";

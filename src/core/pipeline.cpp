@@ -163,7 +163,10 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
   // Retry loop: when generalization cannot find two consistent runs, or
   // the background does not embed into the foreground (inconsistently
   // chosen representative classes — the §3.4 failure mode), run more
-  // trials, as the paper's recording subsystem does.
+  // trials, as the paper's recording subsystem does. A matcher search
+  // cut off by the step budget ends the loop instead: more trials pose
+  // the same search again.
+  bool budget_exhausted = false;
   for (int round = 0; round <= options.max_retry_rounds; ++round) {
     int already = trials_recorded;
     int want = round == 0 ? trials : already;  // double on each retry
@@ -269,6 +272,10 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
 
     result.trials_run = trials_recorded;
     if (cancelled()) return result;
+    budget_exhausted =
+        (bg_general.has_value() && bg_general->search_stats.budget_exhausted) ||
+        (fg_general.has_value() && fg_general->search_stats.budget_exhausted);
+    if (budget_exhausted) break;
     if (!bg_general.has_value() || !fg_general.has_value()) continue;
 
     // -- (4) comparison -----------------------------------------------------
@@ -278,12 +285,19 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     compared = compare_graphs(bg_interned, fg_interned, compare_options);
     result.timings.comparison += watch.elapsed_seconds();
     result.matcher_steps += compared->search_stats.steps;
-    if (!compared->embedding_failed) break;
+    budget_exhausted = compared->search_stats.budget_exhausted;
+    if (budget_exhausted || !compared->embedding_failed) break;
     if (cancelled()) return result;
   }
 
   result.similarity_cache_hits = memo.hits();
   result.similarity_cache_lookups = memo.lookups();
+
+  if (budget_exhausted) {
+    result.status = BenchmarkStatus::Failed;
+    result.failure_reason = "search-budget";
+    return result;
+  }
 
   if (!behaviour_error.empty()) {
     result.status = BenchmarkStatus::Failed;

@@ -34,7 +34,7 @@ struct PipelineOptions {
   std::uint64_t seed = 42;
   /// If generalization cannot find two consistent runs, retry with twice
   /// the trials, up to this many rounds (the paper "runs a larger number
-  /// of trials" in that case).
+  /// of trials" in that case). A step-budget cut-off never retries.
   int max_retry_rounds = 3;
   /// Thread pool for the parallel phases (trial recording/transformation
   /// and similarity classification). nullptr = the process-wide
@@ -71,13 +71,15 @@ struct PipelineOptions {
   /// stages (candidate ordering, component decomposition, parallel
   /// search workers, step budget). Overlaid onto `generalize.search`
   /// and `compare.search` by run_benchmark — set it here, not on the
-  /// per-stage structs. The default reproduces the serial PropertyCost
-  /// engine bit-for-bit. For searches that *complete* (no step-budget
-  /// exhaustion — always the case with the default unlimited budget),
-  /// every setting preserves optimal costs and a fixed config yields
-  /// identical results at any `matcher.threads`; a search cut off by
-  /// `matcher.step_budget` returns a thread-count- and
-  /// scheduling-dependent partial best.
+  /// per-stage structs. The default is the product search: WL-scarcity
+  /// ordering with component decomposition under
+  /// matcher::kDefaultStepBudget. Every setting preserves optimal
+  /// costs, and a fixed config yields identical results at any
+  /// `matcher.threads`. A search that reaches `matcher.step_budget`
+  /// fails the run with failure_reason "search-budget" and no retry
+  /// round; where it stops is deterministic for a serial search
+  /// (`matcher.threads` <= 1) but depends on scheduling for a parallel
+  /// one.
   matcher::SearchConfig matcher;
 };
 
@@ -99,8 +101,9 @@ enum class BenchmarkStatus {
   /// Foreground and background generalized to similar graphs: the target
   /// activity is invisible to this recorder.
   Empty,
-  /// The pipeline could not produce a result (no consistent runs, or the
-  /// background did not embed into the foreground).
+  /// The pipeline could not produce a result (no consistent runs, the
+  /// background did not embed into the foreground, or a matcher search
+  /// reached its step budget — failure_reason "search-budget").
   Failed,
 };
 

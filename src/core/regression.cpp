@@ -29,10 +29,17 @@ RegressionStore::Verdict RegressionStore::check(
     verdict.kind = Verdict::Kind::NoBaseline;
     return verdict;
   }
+  // The product search strategy and budget, as in the pipeline.
   matcher::SearchOptions options;
   options.cost_model = matcher::CostModel::Symmetric;
+  matcher::SearchConfig{}.apply(options);
+  matcher::Stats stats;
   std::optional<matcher::Matching> matching =
-      matcher::best_isomorphism(it->second, result.result, options);
+      matcher::best_isomorphism(it->second, result.result, options, &stats);
+  if (stats.budget_exhausted) {
+    verdict.kind = Verdict::Kind::SearchBudget;
+    return verdict;
+  }
   if (!matching.has_value()) {
     verdict.kind = Verdict::Kind::StructureChanged;
     return verdict;

@@ -32,6 +32,7 @@ class RegressionStore {
       Unchanged,    ///< similar graph, identical stable properties
       PropertyDrift,  ///< similar graph but property sets differ
       StructureChanged,  ///< not even similar — investigate (or accept)
+      SearchBudget,  ///< the matcher's step budget ran out: undecided
     };
     Kind kind = Kind::NoBaseline;
     int property_mismatches = 0;

@@ -374,7 +374,7 @@ ShardPlan plan_batch(const std::vector<std::string>& systems,
                      int shard_count, std::uint64_t seed,
                      const std::string& result_type,
                      bool deterministic_timings,
-                     const std::string& matcher_order) {
+                     const matcher::SearchConfig& search) {
   if (shard_count < 1) {
     throw std::invalid_argument("shard count must be >= 1");
   }
@@ -386,7 +386,7 @@ ShardPlan plan_batch(const std::vector<std::string>& systems,
   plan.seed = seed;
   plan.result_type = result_type;
   plan.deterministic_timings = deterministic_timings;
-  plan.matcher_order = matcher_order;
+  plan.matcher_order = matcher::strategy_name(search);
   // The exact single-process sweep order: systems outer, benchmarks
   // inner. Cell index == position in that loop, the key every shard
   // layout and the merge step agree on.

@@ -120,7 +120,9 @@ struct ShardSpec {
   std::uint64_t seed = 42;
   std::string result_type = "rb";  ///< rb | rg | rh
   bool deterministic_timings = false;
-  std::string matcher_order;  ///< CLI spelling; "" = the default order
+  /// matcher::strategy_name of the sweep's search config, e.g.
+  /// "wl+decompose" (the default) or "cost".
+  std::string matcher_order;
   std::size_t matrix_cells = 0;   ///< total cells in the sweep matrix
   std::uint64_t matrix_hash = 0;  ///< hash of every (index, cell) triple
   std::vector<BatchCell> cells;   ///< this shard's slice, ascending index
@@ -146,14 +148,17 @@ struct ShardPlan {
 /// Cell order matches the single-process batch loop exactly: for each
 /// system (in list order), every benchmark (in list order). Throws
 /// std::invalid_argument when shard_count < 1 or the matrix is empty.
-/// `matcher_order` is carried into every shard's fingerprint (see
-/// ShardSpec); pass the CLI spelling, or "" for the default.
+/// The strategy of `search` — the config the cells will run with — is
+/// carried into every shard's fingerprint by its canonical
+/// matcher::strategy_name (see ShardSpec), so two spellings of one
+/// strategy agree and a change of default cannot merge with shards
+/// written under the old one.
 ShardPlan plan_batch(const std::vector<std::string>& systems,
                      const std::vector<std::string>& benchmarks,
                      int shard_count, std::uint64_t seed,
                      const std::string& result_type,
                      bool deterministic_timings,
-                     const std::string& matcher_order = "");
+                     const matcher::SearchConfig& search = {});
 
 /// The Table-1 benchmark names in sweep order (the batch default).
 std::vector<std::string> table_benchmark_names();

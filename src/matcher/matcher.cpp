@@ -1082,4 +1082,29 @@ bool similar(const PropertyGraph& g1, const PropertyGraph& g2) {
   return best_isomorphism(g1, g2, options).has_value();
 }
 
+const char* order_name(CandidateOrder order) {
+  switch (order) {
+    case CandidateOrder::None: return "none";
+    case CandidateOrder::PropertyCost: return "cost";
+    case CandidateOrder::TimestampRank: return "time";
+    case CandidateOrder::WlScarcity: return "wl";
+  }
+  return "?";
+}
+
+CandidateOrder parse_order(std::string_view name) {
+  for (CandidateOrder order :
+       {CandidateOrder::None, CandidateOrder::PropertyCost,
+        CandidateOrder::TimestampRank, CandidateOrder::WlScarcity}) {
+    if (name == order_name(order)) return order;
+  }
+  throw std::invalid_argument("unknown matcher order: " + std::string(name));
+}
+
+std::string strategy_name(const SearchConfig& config) {
+  std::string name = order_name(config.order);
+  if (config.decompose) name += "+decompose";
+  return name;
+}
+
 }  // namespace provmark::matcher

@@ -26,6 +26,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "graph/property_graph.h"
 
@@ -88,6 +89,13 @@ enum class CandidateOrder {
   WlScarcity,
 };
 
+/// Engine-level options of one matcher call. The defaults describe the
+/// baseline engine (PropertyCost order, no decomposition, no budget) on
+/// purpose: the legacy and brute-force equivalence suites build this
+/// struct directly and compare step counts bit-for-bit against
+/// `legacy::`. The pipeline's optimizing searches overlay a
+/// SearchConfig, whose defaults are the bounded product search; only
+/// the similar() decision form runs on these defaults.
 struct SearchOptions {
   CostModel cost_model = CostModel::OneSided;
   /// Stop as soon as any structurally valid matching is found (the cost is
@@ -134,16 +142,30 @@ struct SearchOptions {
   runtime::ThreadPool* pool = nullptr;
 };
 
+/// Step budget of every product search (SearchConfig's default). The
+/// largest search measured under the default strategy — any Table-1
+/// cell or gen1..24x32 program on any of the six recorders — takes
+/// under 200 steps for a whole cell, so real instances sit more than
+/// four orders of magnitude below it; a search that reaches it is a
+/// pathological instance, cut off after a few seconds instead of
+/// running for minutes (§5.4's exponential worst case).
+inline constexpr std::size_t kDefaultStepBudget = 10'000'000;
+
 /// The user-facing search knobs threaded from the CLI / pipeline down
 /// into every matcher call of a run (the ablation booleans stay on the
 /// per-stage option structs). apply() overlays these onto a fully
-/// populated SearchOptions.
+/// populated SearchOptions. The defaults are the product search:
+/// WL-scarcity ordering with component decomposition — exhaustive and
+/// optimum-preserving like every order, and the one that stays
+/// tractable on generator-scale programs — under a finite budget.
 struct SearchConfig {
-  CandidateOrder order = CandidateOrder::PropertyCost;
-  bool decompose = false;
+  CandidateOrder order = CandidateOrder::WlScarcity;
+  bool decompose = true;
   int threads = 1;
-  /// 0 keeps the call site's own budget.
-  std::size_t step_budget = 0;
+  /// Per matcher call; 0 = unlimited. A search that reaches it reports
+  /// Stats::budget_exhausted and the pipeline fails the run with
+  /// failure_reason "search-budget".
+  std::size_t step_budget = kDefaultStepBudget;
   runtime::ThreadPool* pool = nullptr;
 
   void apply(SearchOptions& options) const {
@@ -151,9 +173,21 @@ struct SearchConfig {
     options.component_decomposition = decompose;
     options.threads = threads;
     options.pool = pool;
-    if (step_budget > 0) options.step_budget = step_budget;
+    options.step_budget = step_budget;
   }
 };
+
+/// The CLI spelling of an order: "none" | "cost" | "time" | "wl".
+const char* order_name(CandidateOrder order);
+
+/// Inverse of order_name; throws std::invalid_argument on anything else.
+CandidateOrder parse_order(std::string_view name);
+
+/// A canonical name of the strategy a config runs — the order's
+/// spelling, plus "+decompose" when decomposition is on — for
+/// fingerprints that must tell result-affecting strategies apart
+/// (orders tie-break equal-cost matchings differently).
+std::string strategy_name(const SearchConfig& config);
 
 /// Search statistics, used by tests and the ablation benchmark.
 struct Stats {

@@ -30,6 +30,7 @@
 #include "core/transform.h"
 #include "datalog/engine.h"
 #include "datalog/fact_io.h"
+#include "graph/algorithms.h"
 #include "runtime/thread_pool.h"
 #include "systems/recorder.h"
 
@@ -132,6 +133,44 @@ TEST(AdversarialPipeline, AllSystemsCompleteOnGeneratedPrograms) {
           << system << " on " << program.name << ": "
           << result.failure_reason;
     }
+  }
+}
+
+TEST(AdversarialPipeline, DefaultSearchFinishesGeneratorScaleUnderBudget) {
+  // gen1..16x32 on every recorder through the batch executor with the
+  // default search config: no cell may fail (a budget cut-off would
+  // read "search-budget"), and every result must be the one an explicit
+  // unbudgeted WL-scarcity + decomposition search lands on.
+  std::vector<BatchCell> cells;
+  for (const char* system : kAllSystems) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      bench_suite::GeneratorOptions generator;
+      generator.seed = seed;
+      generator.scale = 32;
+      cells.push_back({cells.size(), system,
+                       bench_suite::generated_name(generator)});
+    }
+  }
+  runtime::ThreadPool pool(2);
+  CellRunOptions by_default;
+  by_default.pool = &pool;
+  CellRunOptions reference = by_default;
+  reference.matcher.order = matcher::CandidateOrder::WlScarcity;
+  reference.matcher.decompose = true;
+  reference.matcher.step_budget = 0;
+  const std::vector<BenchmarkResult> got = run_batch_cells(cells, by_default);
+  const std::vector<BenchmarkResult> want = run_batch_cells(cells, reference);
+  ASSERT_EQ(got.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string where = cells[i].system + "/" + cells[i].benchmark;
+    EXPECT_NE(got[i].status, BenchmarkStatus::Failed)
+        << where << ": " << got[i].failure_reason;
+    EXPECT_LT(got[i].matcher_steps * 100, matcher::kDefaultStepBudget)
+        << where;
+    EXPECT_EQ(got[i].status, want[i].status) << where;
+    EXPECT_EQ(graph::structural_digest(got[i].result),
+              graph::structural_digest(want[i].result))
+        << where;
   }
 }
 

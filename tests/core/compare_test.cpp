@@ -115,5 +115,22 @@ TEST(Compare, ReportsEmbeddingCost) {
   EXPECT_TRUE(result.benchmark.empty());
 }
 
+
+TEST(Compare, BudgetCutOffIsReportedAsSuch) {
+  // A search the step budget cuts off cannot tell whether the background
+  // embeds; the stats say so, so callers never read the cut-off as a
+  // proven non-embedding.
+  CompareOptions options;
+  options.search.step_budget = 1;
+  CompareResult result =
+      compare_graphs(background(), foreground_with_target(), options);
+  EXPECT_TRUE(result.embedding_failed);
+  EXPECT_TRUE(result.search_stats.budget_exhausted);
+
+  CompareResult proven = compare_graphs(background(), PropertyGraph{});
+  EXPECT_TRUE(proven.embedding_failed);
+  EXPECT_FALSE(proven.search_stats.budget_exhausted);
+}
+
 }  // namespace
 }  // namespace provmark::core

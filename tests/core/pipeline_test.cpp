@@ -210,5 +210,22 @@ TEST(Pipeline, ScaleBenchmarkResultGrowsWithK) {
   EXPECT_GT(s4.result.size(), s1.result.size());
 }
 
+TEST(Pipeline, SearchBudgetFailsTheRunWithoutRetrying) {
+  // A budget-cut search is a typed failure, not "no two consistent
+  // recordings": the retry loop stops instead of doubling the trials
+  // and posing the same search again.
+  for (const char* system : {"spade", "opus", "camflow"}) {
+    PipelineOptions options;
+    options.system = system;
+    options.matcher.step_budget = 1;
+    BenchmarkResult result =
+        run_benchmark(bench_suite::benchmark_by_name("rename"), options);
+    EXPECT_EQ(result.status, BenchmarkStatus::Failed) << system;
+    EXPECT_EQ(result.failure_reason, "search-budget") << system;
+    EXPECT_EQ(result.trials_run, default_trials(system)) << system;
+    EXPECT_GT(result.matcher_steps, 0u) << system;
+  }
+}
+
 }  // namespace
 }  // namespace provmark::core

@@ -85,6 +85,29 @@ TEST(ShardPlan, StableAcrossShardCounts) {
                std::invalid_argument);
 }
 
+TEST(ShardPlan, FingerprintsTheCanonicalStrategy) {
+  // The plan records the strategy the cells run, not how it was asked
+  // for: the default config and an explicit WL + decomposition config
+  // are one strategy, and neither can pass for a manifest written when
+  // the default order was spelled "" (PropertyCost, no decomposition).
+  matcher::SearchConfig wl;
+  wl.order = matcher::CandidateOrder::WlScarcity;
+  wl.decompose = true;
+  matcher::SearchConfig cost;
+  cost.order = matcher::CandidateOrder::PropertyCost;
+  cost.decompose = false;
+  const ShardPlan by_default =
+      plan_batch(kSystems, kBenchmarks, 2, 42, "rb", false);
+  EXPECT_EQ(by_default.matcher_order, "wl+decompose");
+  EXPECT_EQ(plan_batch(kSystems, kBenchmarks, 2, 42, "rb", false, wl)
+                .shard(1),
+            by_default.shard(1));
+  EXPECT_EQ(plan_batch(kSystems, kBenchmarks, 2, 42, "rb", false, cost)
+                .matcher_order,
+            "cost");
+  EXPECT_NE(by_default.matcher_order, "");
+}
+
 TEST(ShardCellRecord, RoundTripsHostileContent) {
   BenchmarkResult result;
   result.system = "spade";
@@ -301,8 +324,11 @@ TEST(ShardResume, CompletenessDetection) {
   ShardSpec more_shards = plan_batch(systems, {"open"}, 2, 42, "rb", true)
                               .shard(0);
   EXPECT_FALSE(shard_complete(dir, more_shards));
+  matcher::SearchConfig cost;
+  cost.order = matcher::CandidateOrder::PropertyCost;
+  cost.decompose = false;
   ShardSpec other_order =
-      plan_batch(systems, {"open"}, 1, 42, "rb", true, "wl").shard(0);
+      plan_batch(systems, {"open"}, 1, 42, "rb", true, cost).shard(0);
   EXPECT_FALSE(shard_complete(dir, other_order));
   ShardSpec other_matrix =
       plan_batch(systems, {"rename"}, 1, 42, "rb", true).shard(0);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "graph/property_graph.h"
@@ -456,6 +457,56 @@ TEST(ComponentDecomposition, SharedBudgetAcrossComponents) {
   auto result = best_isomorphism(g1, g2, options, &stats);
   EXPECT_TRUE(stats.budget_exhausted);
   EXPECT_FALSE(result.has_value());
+}
+
+
+// -- the product search configuration ----------------------------------------
+
+TEST(SearchConfigDefaults, AreTheBoundedWlScarcitySearch) {
+  const SearchConfig config;
+  EXPECT_EQ(config.order, CandidateOrder::WlScarcity);
+  EXPECT_TRUE(config.decompose);
+  EXPECT_EQ(config.threads, 1);
+  EXPECT_EQ(config.pool, nullptr);
+  EXPECT_EQ(config.step_budget, kDefaultStepBudget);
+  EXPECT_EQ(kDefaultStepBudget, 10'000'000u);
+
+  // apply() overlays every knob, the budget included.
+  SearchOptions options;
+  options.step_budget = 5;
+  config.apply(options);
+  EXPECT_EQ(options.candidate_order, CandidateOrder::WlScarcity);
+  EXPECT_TRUE(options.component_decomposition);
+  EXPECT_EQ(options.step_budget, kDefaultStepBudget);
+  SearchConfig unlimited;
+  unlimited.step_budget = 0;
+  unlimited.apply(options);
+  EXPECT_EQ(options.step_budget, 0u);
+}
+
+TEST(SearchConfigDefaults, EngineOptionsKeepTheBaselineEngine) {
+  // The equivalence suites build SearchOptions directly and compare
+  // step counts against legacy::, so its defaults must not follow the
+  // product default.
+  const SearchOptions options;
+  EXPECT_EQ(options.candidate_order, CandidateOrder::PropertyCost);
+  EXPECT_FALSE(options.component_decomposition);
+  EXPECT_EQ(options.step_budget, 0u);
+}
+
+TEST(SearchConfigDefaults, OrderNamesRoundTrip) {
+  for (CandidateOrder order :
+       {CandidateOrder::None, CandidateOrder::PropertyCost,
+        CandidateOrder::TimestampRank, CandidateOrder::WlScarcity}) {
+    EXPECT_EQ(parse_order(order_name(order)), order);
+  }
+  EXPECT_STREQ(order_name(CandidateOrder::WlScarcity), "wl");
+  EXPECT_THROW(parse_order("fastest"), std::invalid_argument);
+  EXPECT_EQ(strategy_name(SearchConfig{}), "wl+decompose");
+  SearchConfig cost;
+  cost.order = CandidateOrder::PropertyCost;
+  cost.decompose = false;
+  EXPECT_EQ(strategy_name(cost), "cost");
 }
 
 }  // namespace

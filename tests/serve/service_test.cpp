@@ -304,6 +304,45 @@ TEST(ServiceRecovery, RunEventsReplaySeedIdentically) {
             live_digest);
 }
 
+TEST(ServiceRecovery, SearchBudgetRunFailsAndReplaysIdentically) {
+  // A run event whose matcher search reaches the step budget is a typed,
+  // deterministic outcome: it asserts runstatus(r1,failed) instead of
+  // holding the session's apply worker, and replay reaches the same
+  // verdict (step counts are deterministic on the serial pool).
+  bench_suite::GeneratorOptions gen;
+  gen.seed = 11;
+  gen.scale = 3;
+  gen.depth = 1;
+  gen.fan_out = 1;
+  const std::string payload =
+      "opus\n" +
+      bench_suite::format_program(bench_suite::generate_program(gen));
+  auto budgeted = [](const fs::path& root) {
+    ServiceOptions options = test_options(root);
+    options.pipeline.matcher.step_budget = 1;
+    return options;
+  };
+
+  TempDir tmp("runbudget");
+  std::string live_digest;
+  {
+    Service service(budgeted(tmp.path));
+    service.submit(event("alice", payload, Priority::Normal,
+                         EventKind::Run));
+    service.pump();
+    EXPECT_EQ(service.submit(query("alice", QueryKind::Query,
+                                   "runstatus(r1,S)"))
+                  .body,
+              "S=failed\n");
+    live_digest = service.submit(query("alice", QueryKind::Digest)).body;
+    EXPECT_EQ(service.stats().quarantined_sessions, 0u);
+  }
+  Service recovered(budgeted(tmp.path));
+  EXPECT_EQ(recovered.stats().replayed_events, 1u);
+  EXPECT_EQ(recovered.submit(query("alice", QueryKind::Digest)).body,
+            live_digest);
+}
+
 TEST(ServiceCheckpoint, DrainCheckpointsSoRestartReplaysNothing) {
   TempDir tmp("drain");
   std::string digest;

@@ -195,9 +195,12 @@ constexpr const char* kUsage =
     "               nests under --threads; default 1 = serial search;\n"
     "               results are identical at any N)\n"
     "  --matcher-order none|cost|time|wl\n"
-    "               candidate-ordering heuristic (default cost; wl =\n"
-    "               WL-scarcity ordering + component decomposition —\n"
-    "               optimal costs are unchanged by any choice)\n"
+    "               candidate-ordering heuristic (default wl =\n"
+    "               WL-scarcity ordering + component decomposition;\n"
+    "               none|cost|time run without decomposition —\n"
+    "               optimal costs are unchanged by any choice). A\n"
+    "               matcher search past 10^7 steps fails the run\n"
+    "               with reason 'search-budget'\n"
     "  --seed S     pipeline seed (default 42); results are\n"
     "               deterministic per seed at any thread count\n"
     "  --shards N   (batch) partition the sweep into N shards. Without\n"
@@ -306,7 +309,6 @@ struct CliOptions {
   int shard_retries = 2;  ///< extra launches per shard (orchestrator)
   int shard_attempt = 0;  ///< this worker's attempt (fault arming)
   bool deterministic_timings = false;
-  std::string matcher_order_name;  ///< as given (shard plan fingerprint)
   std::string fault_spec;          ///< "" = no fault injection
   /// --max-input-bytes: ceiling for parsed input files (0 = unlimited;
   /// default util::kDefaultMaxInputBytes). serve payloads default
@@ -314,14 +316,6 @@ struct CliOptions {
   std::size_t max_input_bytes = util::kDefaultMaxInputBytes;
   bool max_input_bytes_set = false;
 };
-
-matcher::CandidateOrder parse_order(const std::string& name) {
-  if (name == "none") return matcher::CandidateOrder::None;
-  if (name == "cost") return matcher::CandidateOrder::PropertyCost;
-  if (name == "time") return matcher::CandidateOrder::TimestampRank;
-  if (name == "wl") return matcher::CandidateOrder::WlScarcity;
-  throw std::invalid_argument("unknown matcher order: " + name);
-}
 
 int run_single(const CliOptions& cli, const std::string& system,
                const std::string& benchmark, int trials) {
@@ -381,8 +375,7 @@ int run_batch(const CliOptions& cli, const char* argv0,
 
   core::ShardPlan plan = core::plan_batch(
       systems, core::table_benchmark_names(), std::max(1, cli.shards),
-      cli.seed, result_type, cli.deterministic_timings,
-      cli.matcher_order_name);
+      cli.seed, result_type, cli.deterministic_timings, cli.matcher);
   core::CellRunOptions cell_options;
   cell_options.seed = cli.seed;
   cell_options.pool = cli.pool;
@@ -946,10 +939,10 @@ int main(int argc, char** argv) {
         continue;
       }
       if (args[0] == "--matcher-order" && args.size() >= 2) {
-        cli.matcher.order = parse_order(args[1]);
-        cli.matcher_order_name = args[1];
-        // WL scarcity brings component decomposition along: both halves
-        // of the strategy preserve optimal costs.
+        cli.matcher.order = matcher::parse_order(args[1]);
+        // WL scarcity brings component decomposition along (both halves
+        // of the strategy preserve optimal costs); the older orders run
+        // without it, exactly as before decomposition existed.
         cli.matcher.decompose =
             cli.matcher.order == matcher::CandidateOrder::WlScarcity;
         args.erase(args.begin(), args.begin() + 2);

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     options.simulated_recording_latency = latency;
     auto start = std::chrono::steady_clock::now();
     // (benchmark, system) sweep across the pool; each pipeline's trial
-    // fan-out shares the same workers (nested parallel_for runs inline).
+    // fan-out is offered to the same pool's idle workers.
     std::vector<std::string> prints = pool.parallel_map<std::string>(
         programs,
         [&](const bench_suite::BenchmarkProgram& program, std::size_t) {

@@ -245,10 +245,15 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     // -- (3) generalization -------------------------------------------------
     // The two variants are independent generalization problems; they run
     // concurrently, and each fans its similarity buckets out over the
-    // pool (nested parallel_for runs inline on whichever worker got the
-    // variant). Sharing one memo is safe and deterministic: entries are
-    // per concrete snapshot pair, so equal-digest buckets on the two
-    // sides never read each other's verdicts.
+    // pool (a nested parallel_for offers its buckets to idle workers and
+    // drains them itself on whichever thread got the variant). Sharing
+    // one memo is safe and deterministic: the memo locks its map,
+    // entries are per concrete snapshot pair, and each bucket's pairs
+    // are posed by that bucket's task alone, so equal-digest buckets on
+    // the two sides never read each other's verdicts and the hit count
+    // does not depend on scheduling. Every matcher call reads the
+    // run's SymbolTable only (interning happens in the serial tails)
+    // and counts steps into its own side's Stats.
     watch.reset();
     std::vector<const matcher::InternedGraph*> bg_ptrs = bg_trials.pointers();
     std::vector<const matcher::InternedGraph*> fg_ptrs = fg_trials.pointers();

@@ -137,8 +137,9 @@ struct SearchOptions {
   /// stay serial.
   int threads = 1;
   /// Pool for the parallel search; nullptr = runtime::default_pool().
-  /// A call made from a worker of this same pool runs inline (serial)
-  /// per the runtime's nesting rule — pass a dedicated pool to nest.
+  /// A call made from a worker of this same pool offers its subtrees
+  /// to the pool's idle workers and searches the rest itself (the
+  /// runtime's nesting rule); a dedicated pool gives it its own width.
   runtime::ThreadPool* pool = nullptr;
 };
 

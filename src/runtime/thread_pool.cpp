@@ -8,21 +8,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace provmark::runtime {
-
-namespace {
-
-/// The pool (Impl address) this thread is a worker of; nullptr on
-/// non-worker threads. parallel_for consults it to run nested loops on
-/// the *same* pool inline instead of re-entering the queue; loops on a
-/// different pool still fan out normally — that pool's workers are
-/// idle and make progress independently, so there is no deadlock and
-/// no silent loss of its parallelism.
-thread_local const void* t_worker_of = nullptr;
-
-}  // namespace
 
 struct ThreadPool::Impl {
   std::mutex mutex;
@@ -31,8 +21,11 @@ struct ThreadPool::Impl {
   std::vector<std::thread> workers;
   bool stopping = false;
 
+  // A worker takes queued work only here, at the top of its own stack,
+  // never while it waits inside a parallel_for. Every thread that waits
+  // on a loop therefore waits only for items of loops nested strictly
+  // deeper than its own, so waits cannot form a cycle.
   void worker_loop() {
-    t_worker_of = this;  // for the thread's whole lifetime
     for (;;) {
       std::function<void()> task;
       {
@@ -68,10 +61,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Serial pool, tiny loop, or a nested call from one of this pool's
-  // own workers: run inline. Workers must never block waiting on queue
-  // capacity they are themselves responsible for draining.
-  if (threads_ == 1 || n == 1 || t_worker_of == impl_) {
+  // Serial pool or tiny loop: run inline. Every other loop — nested on
+  // one of this pool's workers or not — offers its indices to idle
+  // workers and drains them itself, so it finishes even when no worker
+  // is free to help.
+  if (threads_ == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -81,7 +75,9 @@ void ThreadPool::parallel_for(std::size_t n,
   // The whole loop state — including a copy of fn — lives in one
   // shared_ptr: queued drain closures may be popped after parallel_for
   // has returned (the claim counter is exhausted, so they do no work),
-  // and must not reference the caller's dead stack frame.
+  // and must not reference the caller's dead stack frame. A loop
+  // started while every worker is busy leaves exactly such no-op
+  // closures behind.
   struct State {
     std::function<void(std::size_t)> fn;
     std::size_t n = 0;
@@ -123,7 +119,10 @@ void ThreadPool::parallel_for(std::size_t n,
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (std::size_t i = 0; i < helpers; ++i) impl_->queue.push_back(drain);
   }
-  impl_->work_available.notify_all();
+  // Wake one idle worker per queued helper, not the whole pool.
+  for (std::size_t i = 0; i < helpers; ++i) {
+    impl_->work_available.notify_one();
+  }
 
   drain();  // the caller participates
 
@@ -134,10 +133,29 @@ void ThreadPool::parallel_for(std::size_t n,
   if (state->error) std::rethrow_exception(state->error);
 }
 
+int parse_thread_count(std::string_view text, std::string_view what) {
+  bool digits = !text.empty();
+  int value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      digits = false;
+      break;
+    }
+    // Saturate just past the cap, so a long digit string cannot overflow.
+    value = std::min(value * 10 + (c - '0'), kMaxThreads + 1);
+  }
+  if (!digits || value < 1 || value > kMaxThreads) {
+    throw std::invalid_argument(
+        std::string(what) + " must be a whole number from 1 to " +
+        std::to_string(kMaxThreads) + ", got '" + std::string(text) + "'");
+  }
+  return value;
+}
+
 int default_thread_count() {
-  if (const char* env = std::getenv("PROVMARK_THREADS")) {
-    int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+  const char* env = std::getenv("PROVMARK_THREADS");
+  if (env != nullptr && *env != '\0') {
+    return parse_thread_count(env, "PROVMARK_THREADS");
   }
 #if defined(PROVMARK_THREADS) && PROVMARK_THREADS > 0
   return PROVMARK_THREADS;

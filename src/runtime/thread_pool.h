@@ -19,17 +19,22 @@
 // any thread count, which `tests/core/parallel_determinism_test.cpp`
 // enforces for the whole pipeline.
 //
-// Nesting: parallel_for called from inside one of the *same* pool's
-// workers runs the loop inline on that worker (no new tasks are
-// queued). Outer parallelism — e.g. the CLI sweeping (benchmark,
-// system) pairs — therefore composes with the trial-level parallelism
-// inside run_benchmark without deadlocking or oversubscribing. A loop
-// on a *different* pool fans out normally onto that pool's workers.
+// Nesting: every loop of more than one index on a multi-thread pool
+// offers its indices to idle workers of that pool — also a loop nested
+// inside one of the same pool's tasks — and drains them itself too, so
+// it finishes even when no worker comes to help. A worker that runs out
+// of outer work (e.g. the CLI sweeping (benchmark, system) cells) thus
+// picks up the trials of cells still running. Workers take queued work
+// only at the top of their own stack, never while waiting on a loop:
+// waits cannot form a cycle, and at most thread_count() threads run
+// tasks at once. A loop on a *different* pool fans out onto that pool's
+// workers in the same way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 namespace provmark::runtime {
@@ -74,11 +79,23 @@ class ThreadPool {
   int threads_;
 };
 
+/// The largest thread count a user may ask for (`--threads`,
+/// `--matcher-threads`, PROVMARK_THREADS): far above any core count this
+/// runs on, and small enough that a typo cannot ask the OS for millions
+/// of threads.
+inline constexpr int kMaxThreads = 256;
+
+/// `text` as a user-supplied thread count: decimal digits only (no sign,
+/// space or trailing characters) with a value in 1..kMaxThreads. Throws
+/// std::invalid_argument naming `what` and the accepted range otherwise.
+int parse_thread_count(std::string_view text, std::string_view what);
+
 /// The number of threads a default-constructed runtime uses, resolved in
 /// priority order: the PROVMARK_THREADS environment variable (if set and
-/// > 0), the compile-time PROVMARK_THREADS definition (if defined and
-/// > 0, e.g. the CI serial job's -DPROVMARK_THREADS=1), then
-/// std::thread::hardware_concurrency().
+/// non-empty; validated by parse_thread_count, so a malformed value
+/// throws instead of being ignored), the compile-time PROVMARK_THREADS
+/// definition (if defined and > 0, e.g. the CI serial job's
+/// -DPROVMARK_THREADS=1), then std::thread::hardware_concurrency().
 int default_thread_count();
 
 /// Process-wide shared pool, lazily constructed with

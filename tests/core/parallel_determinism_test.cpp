@@ -4,14 +4,19 @@
 // count — every trial derives its randomness from (seed, trial index),
 // never from scheduling. These tests pin that contract at 1, 4 and 8
 // threads, across the noisy recorders (SPADE truncation, CamFlow
-// interference) where a scheduling leak would actually change results.
+// interference) where a scheduling leak would actually change results,
+// and for nested loops: cells on pool workers whose trial, bucket and
+// search loops are helped by the pool's idle workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_suite/program.h"
 #include "core/pipeline.h"
+#include "core/shard.h"
 #include "runtime/thread_pool.h"
 #include "systems/spade.h"
 
@@ -141,6 +146,67 @@ TEST(ParallelDeterminism, RetryRoundsRunFromCache) {
   ASSERT_GT(result.trials_run, 4) << "workload must have retried";
   EXPECT_GT(result.similarity_cache_hits, 0u);
   EXPECT_LE(result.similarity_cache_hits, result.similarity_cache_lookups);
+}
+
+TEST(ParallelDeterminism, FewUnevenCellsIdenticalAt1248Threads) {
+  // The cold set-up shape of a sweep: one `close` cell per recorder,
+  // fewer and more uneven cells than threads at 8. Workers that find no
+  // cell left help with the trials, buckets and searches of the cells
+  // still running; none of that may show in any result.
+  std::vector<BatchCell> cells;
+  for (const char* system :
+       {"spade", "opus", "camflow", "spade-camflow", "audit", "ebpf"}) {
+    cells.push_back({cells.size(), system, "close"});
+  }
+  auto run = [&](int threads) {
+    runtime::ThreadPool pool(threads);
+    CellRunOptions options;
+    options.pool = &pool;
+    return run_batch_cells(cells, options);
+  };
+  const std::vector<BenchmarkResult> serial = run(1);
+  for (int threads : {2, 4, 8}) {
+    const std::vector<BenchmarkResult> parallel = run(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      expect_identical(serial[i], parallel[i],
+                       cells[i].system + " threads=" +
+                           std::to_string(threads));
+      EXPECT_EQ(serial[i].matcher_steps, parallel[i].matcher_steps)
+          << cells[i].system << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, MatcherSearchOnThePipelinePoolIdentical) {
+  // The parallel matcher search given the pipeline's own pool: inside a
+  // worker it now fans its subtrees out over that pool too, next to the
+  // similarity buckets of both variants. Every result must equal the
+  // serial run's (matcher_steps may differ: the parallel search counts
+  // steps from all workers).
+  BenchmarkResult serial = run_with_threads("camflow", "open", 1, 42);
+  for (int threads : {4, 8}) {
+    runtime::ThreadPool pool(threads);
+    std::vector<std::string> names = {"open", "rename", "close"};
+    std::vector<BenchmarkResult> results =
+        pool.parallel_map<BenchmarkResult>(
+            names, [&](const std::string& name, std::size_t) {
+              PipelineOptions options;
+              options.system = "camflow";
+              options.seed = 42;
+              options.pool = &pool;
+              options.matcher.threads = threads;
+              options.matcher.pool = &pool;
+              return run_benchmark(bench_suite::benchmark_by_name(name),
+                                   options);
+            });
+    expect_identical(serial, results[0],
+                     "same-pool matcher threads=" + std::to_string(threads));
+    for (std::size_t i = 1; i < names.size(); ++i) {
+      expect_identical(run_with_threads("camflow", names[i], 1, 42),
+                       results[i], names[i] + " same-pool matcher");
+    }
+  }
 }
 
 }  // namespace

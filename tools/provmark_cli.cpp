@@ -52,6 +52,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_suite/generator.h"
@@ -187,13 +188,14 @@ constexpr const char* kUsage =
     "         failure\n"
     "\n"
     "options:\n"
-    "  --threads N  worker threads for the parallel runtime (default:\n"
-    "               PROVMARK_THREADS env var, then hardware concurrency)\n"
+    "  --threads N  worker threads for the parallel runtime, 1..256\n"
+    "               (default: PROVMARK_THREADS env var, then hardware\n"
+    "               concurrency)\n"
     "  --matcher-threads N\n"
     "               workers for the deterministic parallel matcher\n"
-    "               search inside generalization/comparison (own pool,\n"
-    "               nests under --threads; default 1 = serial search;\n"
-    "               results are identical at any N)\n"
+    "               search inside generalization/comparison, 1..256\n"
+    "               (own pool, nests under --threads; default 1 =\n"
+    "               serial search; results are identical at any N)\n"
     "  --matcher-order none|cost|time|wl\n"
     "               candidate-ordering heuristic (default wl =\n"
     "               WL-scarcity ordering + component decomposition;\n"
@@ -273,6 +275,19 @@ int bad_usage(const std::string& message) {
   std::fprintf(stderr, "provmark: %s (try 'provmark --help')\n",
                message.c_str());
   return 2;
+}
+
+/// A thread count option's value; prints a usage error naming the
+/// accepted range and returns nullopt when it is malformed or out of
+/// range.
+std::optional<int> thread_count_arg(std::string_view what,
+                                    std::string_view text) {
+  try {
+    return runtime::parse_thread_count(text, what);
+  } catch (const std::invalid_argument& e) {
+    bad_usage(e.what());
+    return std::nullopt;
+  }
 }
 
 bench_suite::BenchmarkProgram find_program(
@@ -869,14 +884,22 @@ int main(int argc, char** argv) {
   std::unique_ptr<runtime::ThreadPool> matcher_pool;
   // Peel leading options off before the subcommand.
   try {
+    // The default pool reads PROVMARK_THREADS lazily; check it up front
+    // so a bad value is a usage error before any work starts.
+    try {
+      runtime::default_thread_count();
+    } catch (const std::invalid_argument& e) {
+      return bad_usage(e.what());
+    }
     while (!args.empty() && args[0].rfind("--", 0) == 0) {
       if (args[0] == "--help") {
         std::printf("%s", kUsage);
         return 0;
       }
       if (args[0] == "--threads" && args.size() >= 2) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(
-            std::stoi(args[1]));
+        std::optional<int> threads = thread_count_arg("--threads", args[1]);
+        if (!threads) return 2;
+        owned_pool = std::make_unique<runtime::ThreadPool>(*threads);
         cli.pool = owned_pool.get();
         args.erase(args.begin(), args.begin() + 2);
         continue;
@@ -926,10 +949,13 @@ int main(int argc, char** argv) {
         continue;
       }
       if (args[0] == "--matcher-threads" && args.size() >= 2) {
-        // A dedicated pool: the matcher search nests inside pipeline
-        // workers, and a loop on a *different* pool fans out instead of
-        // running inline (see runtime/thread_pool.h nesting rules).
-        cli.matcher.threads = std::stoi(args[1]);
+        // A dedicated pool of its own width: the search offers its
+        // subtrees to these workers whether or not the pipeline's
+        // workers are busy (see runtime/thread_pool.h on nesting).
+        std::optional<int> threads =
+            thread_count_arg("--matcher-threads", args[1]);
+        if (!threads) return 2;
+        cli.matcher.threads = *threads;
         if (cli.matcher.threads > 1) {
           matcher_pool =
               std::make_unique<runtime::ThreadPool>(cli.matcher.threads);

@@ -8,8 +8,8 @@
 //      throughput across scales; gate: byte-identical regeneration.
 //   2. pipeline — generated workloads through the full pipeline on the
 //      record-heavy recorders (audit: one vertex per record) serially
-//      and on a 4-thread pool with 4 matcher workers; gate: bit-
-//      identical results at every width.
+//      and on a 4-thread pool; gate: bit-identical results at every
+//      width.
 //   3. datalog — recorded graphs as fact stores, recursive reachability
 //      saturated serially and in parallel; gate: identical relations.
 //
@@ -148,20 +148,19 @@ int main(int argc, char** argv) {
     for (int seed = 1; seed <= pipeline_seeds; ++seed) {
       bench_suite::BenchmarkProgram program =
           bench_suite::generate_program(options_for(seed, pipeline_scale));
-      auto run_with = [&](int pool_threads, int matcher_threads) {
+      auto run_with = [&](int pool_threads) {
         runtime::ThreadPool pool(pool_threads);
         core::PipelineOptions options;
         options.system = system;
         options.seed = 42;
         options.pool = &pool;
-        options.matcher.threads = matcher_threads;
         return core::run_benchmark(program, options);
       };
       auto start = std::chrono::steady_clock::now();
-      core::BenchmarkResult serial = run_with(1, 1);
+      core::BenchmarkResult serial = run_with(1);
       run.serial_seconds += seconds_since(start);
       start = std::chrono::steady_clock::now();
-      core::BenchmarkResult parallel = run_with(4, 4);
+      core::BenchmarkResult parallel = run_with(4);
       run.parallel_seconds += seconds_since(start);
       if (!results_identical(serial, parallel)) {
         std::fprintf(stderr, "  GATE: %s on %s diverged across widths\n",

@@ -14,16 +14,14 @@
 //   property+decomp — PropertyCost with component decomposition
 //   wl              — WlScarcity ordering (colour-class pruning +
 //                     admissible suffix bound)
-//   wl+decomp       — the full stack; also run on the parallel search
-//                     at 8 threads, with serial-vs-parallel cost
-//                     identity enforced
+//   wl+decomp       — the full stack (the product default)
 //
 // The benchmark *asserts* (exit 1) that every strategy that completes
 // reports the same optimal cost, that legacy and property agree on cost
-// and step trace, that the parallel search reproduces the serial cost,
-// and that the informed strategies never take more steps than the
-// property baseline on the bijective problems — so an ordering
-// regression fails CI instead of silently inflating BENCH numbers.
+// and step trace, and that the informed strategies never take more
+// steps than the property baseline on the bijective problems — so an
+// ordering regression fails CI instead of silently inflating BENCH
+// numbers.
 //
 // Usage: bench_perf_matcher_scaling [--smoke] [output.json]
 //   --smoke  small sizes + fewer repetitions (CI-friendly)
@@ -38,7 +36,6 @@
 #include "graph/property_graph.h"
 #include "matcher/legacy_matcher.h"
 #include "matcher/matcher.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 using namespace provmark;
@@ -46,7 +43,6 @@ using namespace provmark;
 namespace {
 
 constexpr std::size_t kStepBudget = 50'000'000;
-constexpr int kParallelThreads = 8;
 
 /// A provenance-shaped random graph: one process spine with artifact
 /// fan-out, labelled like recorder output (same shape as the ablation
@@ -190,9 +186,6 @@ struct Case {
   Measurement legacy;
   bool legacy_measured = false;
   std::vector<StrategyRow> strategies;
-  Measurement parallel_wl;        ///< wl+decomp at kParallelThreads
-  Measurement parallel_property;  ///< property at kParallelThreads
-  bool parallel_property_measured = false;
 
   const Measurement* strategy(const std::string& name) const {
     for (const StrategyRow& row : strategies) {
@@ -242,7 +235,6 @@ int main(int argc, char** argv) {
   std::vector<int> sizes = smoke ? std::vector<int>{4, 8}
                                  : std::vector<int>{4, 8, 12, 16};
   const int reps = smoke ? 2 : 3;
-  runtime::ThreadPool pool(kParallelThreads);
 
   using matcher::CandidateOrder;
   using matcher::CostModel;
@@ -323,29 +315,8 @@ int main(int argc, char** argv) {
         c.strategies.push_back(std::move(row));
       }
 
-      // Parallel search: the full stack at 8 threads, plus the property
-      // baseline where it completes (the wide-tree case parallelism is
-      // for). Costs must be identical to the serial runs.
-      {
-        matcher::SearchOptions options = make_options(
-            w.model, CandidateOrder::WlScarcity, w.bijective);
-        options.threads = kParallelThreads;
-        options.pool = &pool;
-        c.parallel_wl = measure(compact_fn, w.pattern, w.target, options,
-                                reps);
-      }
-      const Measurement* property = c.strategy("property");
-      if (property != nullptr && !property->exhausted) {
-        matcher::SearchOptions options = make_options(
-            w.model, CandidateOrder::PropertyCost, false);
-        options.threads = kParallelThreads;
-        options.pool = &pool;
-        c.parallel_property = measure(compact_fn, w.pattern, w.target,
-                                      options, reps);
-        c.parallel_property_measured = true;
-      }
-
       // -- identity + regression gates ------------------------------------
+      const Measurement* property = c.strategy("property");
       const Measurement* wl = c.strategy("wl");
       if (c.legacy_measured && !c.legacy.exhausted && property != nullptr &&
           !property->exhausted) {
@@ -371,17 +342,6 @@ int main(int argc, char** argv) {
                           " changed the optimal cost").c_str(),
                          c);
       }
-      if (!c.parallel_wl.exhausted && have_reference) {
-        failed |= !check(c.parallel_wl.ok == reference_ok &&
-                             c.parallel_wl.cost == reference_cost,
-                         "parallel wl+decomp diverged from serial", c);
-      }
-      if (c.parallel_property_measured && !c.parallel_property.exhausted &&
-          property != nullptr && !property->exhausted) {
-        failed |= !check(c.parallel_property.ok == property->ok &&
-                             c.parallel_property.cost == property->cost,
-                         "parallel property diverged from serial", c);
-      }
       // Ordering regression gate: on the bijective problems the informed
       // strategies may never take more steps than the property baseline.
       if (w.bijective && property != nullptr && !property->exhausted &&
@@ -399,9 +359,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-12s %5s %8s | %12s | %12s %15s %12s %15s | %14s %14s\n",
+  std::printf("%-12s %5s %8s | %12s | %12s %15s %12s %15s | %14s\n",
               "problem", "p", "elems", "legacy(ms)", "property", "prop+decomp",
-              "wl", "wl+decomp", "wl+dec 8t(ms)", "speedup");
+              "wl", "wl+decomp", "wl+dec(ms)");
   auto cell = [](const Measurement* m) {
     if (m == nullptr) return std::string("-");
     char buf[64];
@@ -414,13 +374,10 @@ int main(int argc, char** argv) {
   };
   for (const Case& c : cases) {
     const Measurement* wl_decomp = c.strategy("wl_decomp");
-    const Measurement* serial_ref =
+    const Measurement* product =
         wl_decomp != nullptr ? wl_decomp : c.strategy("wl");
-    double speedup = serial_ref != nullptr && c.parallel_wl.seconds > 0
-                         ? serial_ref->seconds / c.parallel_wl.seconds
-                         : 0;
     std::printf(
-        "%-12s %5d %8zu | %12s | %12s %15s %12s %15s | %14.3f %13.2fx\n",
+        "%-12s %5d %8zu | %12s | %12s %15s %12s %15s | %14.3f\n",
         c.problem.c_str(), c.processes, c.elements,
         c.legacy_measured
             ? std::to_string(c.legacy.seconds * 1e3).substr(0, 8).c_str()
@@ -428,7 +385,7 @@ int main(int argc, char** argv) {
         cell(c.strategy("property")).c_str(),
         cell(c.strategy("property_decomp")).c_str(),
         cell(c.strategy("wl")).c_str(), cell(wl_decomp).c_str(),
-        c.parallel_wl.seconds * 1e3, speedup);
+        product->seconds * 1e3);
   }
 
   // Headline: the isomorphism spine at the largest size — the instance
@@ -462,7 +419,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"reps\": %d,\n", reps);
   std::fprintf(f, "  \"step_budget\": %zu,\n", kStepBudget);
-  std::fprintf(f, "  \"parallel_threads\": %d,\n", kParallelThreads);
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
   std::fprintf(f, "  \"cases\": [\n");
   auto emit_measurement = [&](const char* name, const Measurement& m,
@@ -488,39 +444,6 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < c.strategies.size(); ++s) {
       emit_measurement(c.strategies[s].name.c_str(), c.strategies[s].serial,
                        s + 1 < c.strategies.size());
-    }
-    std::fprintf(f, "      },\n      \"parallel\": {\n");
-    const Measurement* wl_decomp = c.strategy("wl_decomp");
-    const Measurement* serial_ref =
-        wl_decomp != nullptr ? wl_decomp : c.strategy("wl");
-    double speedup = serial_ref != nullptr && c.parallel_wl.seconds > 0
-                         ? serial_ref->seconds / c.parallel_wl.seconds
-                         : 0;
-    std::fprintf(f,
-                 "        \"wl_%dt\": {\"seconds\": %.6f, \"cost\": %d, "
-                 "\"identical_cost\": %s, \"speedup_vs_serial\": %.3f}%s\n",
-                 kParallelThreads, c.parallel_wl.seconds, c.parallel_wl.cost,
-                 serial_ref != nullptr &&
-                         c.parallel_wl.cost == serial_ref->cost
-                     ? "true"
-                     : "false",
-                 speedup, c.parallel_property_measured ? "," : "");
-    if (c.parallel_property_measured) {
-      const Measurement* property = c.strategy("property");
-      double pspeed = property != nullptr && c.parallel_property.seconds > 0
-                          ? property->seconds / c.parallel_property.seconds
-                          : 0;
-      std::fprintf(f,
-                   "        \"property_%dt\": {\"seconds\": %.6f, \"cost\": "
-                   "%d, \"identical_cost\": %s, \"speedup_vs_serial\": "
-                   "%.3f}\n",
-                   kParallelThreads, c.parallel_property.seconds,
-                   c.parallel_property.cost,
-                   property != nullptr &&
-                           c.parallel_property.cost == property->cost
-                       ? "true"
-                       : "false",
-                   pspeed);
     }
     std::fprintf(f, "      }\n    }%s\n",
                  i + 1 < cases.size() ? "," : "");

@@ -68,18 +68,15 @@ struct PipelineOptions {
   /// inner loops, so cancellation can lag by one stage.
   const std::atomic<bool>* cancel = nullptr;
   /// Matcher search strategy for the generalization and comparison
-  /// stages (candidate ordering, component decomposition, parallel
-  /// search workers, step budget). Overlaid onto `generalize.search`
-  /// and `compare.search` by run_benchmark — set it here, not on the
-  /// per-stage structs. The default is the product search: WL-scarcity
-  /// ordering with component decomposition under
-  /// matcher::kDefaultStepBudget. Every setting preserves optimal
-  /// costs, and a fixed config yields identical results at any
-  /// `matcher.threads`. A search that reaches `matcher.step_budget`
-  /// fails the run with failure_reason "search-budget" and no retry
-  /// round; where it stops is deterministic for a serial search
-  /// (`matcher.threads` <= 1) but depends on scheduling for a parallel
-  /// one.
+  /// stages (candidate ordering, component decomposition, step
+  /// budget). Overlaid onto `generalize.search` and `compare.search` by
+  /// run_benchmark — set it here, not on the per-stage structs. The
+  /// default is the product search: WL-scarcity ordering with component
+  /// decomposition under matcher::kDefaultStepBudget. Every setting
+  /// preserves optimal costs. A search that reaches
+  /// `matcher.step_budget` fails the run with failure_reason
+  /// "search-budget" and no retry round; the search is serial, so where
+  /// it stops is deterministic.
   matcher::SearchConfig matcher;
 };
 
@@ -138,9 +135,8 @@ struct BenchmarkResult {
   std::uint64_t similarity_cache_lookups = 0;
 
   /// Branch-and-bound assignment attempts across the generalization
-  /// isomorphisms and comparison embeddings of all retry rounds. A
-  /// parallel matcher pre-merges its per-worker Stats exactly once
-  /// before returning, so this is a plain sum over stage results.
+  /// isomorphisms and comparison embeddings of all retry rounds: a
+  /// plain sum over stage results.
   std::uint64_t matcher_steps = 0;
 
   /// Nodes in `result` that are neither dummies nor edge endpoints —

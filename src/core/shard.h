@@ -113,7 +113,7 @@ struct BatchCell {
 /// hash — so shards of two different sweeps can never merge, even when
 /// their per-shard cell lists are individually plausible). Thread
 /// counts are deliberately excluded: results are bit-identical at any
-/// pipeline or matcher worker count.
+/// pipeline thread count.
 struct ShardSpec {
   int shard_id = 0;
   int shard_count = 1;

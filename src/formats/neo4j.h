@@ -16,7 +16,8 @@
 // and export queries walk those indices. The work performed is genuine
 // (index construction over the stored data, repeated `startup_rounds`
 // times to model JVM warm-up and page-cache population); no sleeps are
-// involved. EXPERIMENTS.md discusses the calibration.
+// involved. docs/architecture.md ("The Neo4j start-up model") discusses
+// the calibration.
 #pragma once
 
 #include <cstdint>

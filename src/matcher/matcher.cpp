@@ -11,7 +11,7 @@
 // graphs — the similarity-classification pattern — pay the interning
 // cost once.
 //
-// Three search layers stack on the branch-and-bound core:
+// Two search layers stack on one serial branch-and-bound core:
 //
 //  * Ordering (CandidateOrder): which pattern node is assigned next and
 //    in which order its candidates are tried. WlScarcity additionally
@@ -22,14 +22,12 @@
 //    components, matched up by WL-signature and solved separately; the
 //    optimal cost is identical but the cross-component candidate space
 //    becomes additive instead of multiplicative.
-//  * Deterministic parallel search (SearchOptions::threads > 1): the
-//    root candidate space is partitioned into fixed prefix subtrees
-//    dispatched onto the runtime pool. Workers prune against their own
-//    strict local bound plus a shared monotonically tightening global
-//    bound with *allow-equal* semantics, so no interleaving can prune
-//    the first minimum-cost solution of any subtree; merging per-subtree
-//    winners in subtree order therefore reproduces the serial search's
-//    matching bit-for-bit (see docs/matcher.md "Search strategy").
+//
+// Both places that pair up interchangeable pieces — parallel same-label
+// edges within one node pair, and same-signature components — share one
+// polynomial assignment routine (min_cost_assignment), so the only
+// exponential part of a search is the node search the step budget
+// counts.
 //
 // With the layers at their defaults the engine is bit-identical to the
 // string-keyed baseline preserved in legacy_matcher.cpp — same results,
@@ -37,8 +35,6 @@
 #include "matcher/matcher.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <set>
@@ -48,7 +44,6 @@
 
 #include "graph/compact.h"
 #include "matcher/interned.h"
-#include "runtime/thread_pool.h"
 
 namespace provmark::matcher {
 
@@ -61,19 +56,6 @@ using graph::SymbolTable;
 
 constexpr int kInfinity = std::numeric_limits<int>::max() / 4;
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
-/// Parallel workers flush their step counts into the shared budget
-/// counter in batches of this size, so budget enforcement costs one
-/// relaxed load per step and one shared write per batch. Cooperative
-/// cancellation is therefore accurate to one batch per worker.
-constexpr std::size_t kStepFlushBatch = 512;
-
-/// Monotonically tighten `target` towards `value` (atomic fetch-min).
-void atomic_min(std::atomic<int>& target, int value) {
-  int current = target.load(std::memory_order_relaxed);
-  while (value < current && !target.compare_exchange_weak(
-                                current, value, std::memory_order_relaxed)) {
-  }
-}
 
 /// Property-mismatch cost under the given model; allocation-free merge of
 /// the sorted (key,value) symbol vectors.
@@ -89,10 +71,150 @@ int prop_cost(const CompactProps& a, const CompactProps& b, CostModel model) {
   return 0;
 }
 
+/// The lexicographically first minimum-cost assignment of every row of
+/// the row-major `rows` x `cols` matrix `cost` to a distinct column;
+/// cells of kInfinity are infeasible and costs are non-negative. Writes
+/// each row's column to `pick` and returns the total, or kInfinity when
+/// no assignment exists. "Lexicographically first" is the assignment an
+/// exhaustive row-major DFS keeping only strict improvements returns —
+/// the one legacy:: still computes that way — so results never depend on
+/// which algorithm found the optimum.
+///
+/// O(n^3) for n = cols: Hungarian (Kuhn-Munkres with potentials) on the
+/// matrix padded to a square with zero-cost dummy rows finds an optimum
+/// and an optimal dual. An assignment is optimal exactly when all its
+/// cells are tight (zero reduced cost) under that dual, so the first
+/// optimum is the first perfect matching of the tight cells: each row in
+/// turn takes its smallest tight column from which the rows not yet
+/// fixed can still be rerouted to a perfect matching. One backward
+/// search over alternating paths per row decides that for every column
+/// at once.
+int min_cost_assignment(const std::vector<int>& cost, std::size_t rows,
+                        std::size_t cols, std::vector<std::uint32_t>* pick) {
+  if (rows > cols) return kInfinity;
+  const std::size_t n = cols;
+  // An infeasible cell costs more than every feasible cell together, so
+  // an optimum uses one only when no feasible assignment exists.
+  long long infeasible = 1;
+  for (int c : cost) {
+    if (c < kInfinity) infeasible += c;
+  }
+  auto at = [&](std::size_t i, std::size_t j) -> long long {
+    if (i >= rows) return 0;
+    int c = cost[i * cols + j];
+    return c < kInfinity ? c : infeasible;
+  };
+
+  // Hungarian algorithm, 1-based: u/v are row/column potentials,
+  // owner[j] the row holding column j (0 = free), way[] the
+  // shortest-path tree of the current augmentation.
+  constexpr long long kUnreached = std::numeric_limits<long long>::max();
+  std::vector<long long> u(n + 1, 0), v(n + 1, 0), slack(n + 1);
+  std::vector<std::size_t> owner(n + 1, 0), way(n + 1, 0);
+  std::vector<bool> visited(n + 1);
+  for (std::size_t i = 1; i <= n; ++i) {
+    owner[0] = i;
+    std::size_t j0 = 0;
+    std::fill(slack.begin(), slack.end(), kUnreached);
+    std::fill(visited.begin(), visited.end(), false);
+    do {
+      visited[j0] = true;
+      const std::size_t i0 = owner[j0];
+      long long delta = kUnreached;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= n; ++j) {
+        if (visited[j]) continue;
+        long long reduced = at(i0 - 1, j - 1) - u[i0] - v[j];
+        if (reduced < slack[j]) {
+          slack[j] = reduced;
+          way[j] = j0;
+        }
+        if (slack[j] < delta) {
+          delta = slack[j];
+          j1 = j;
+        }
+      }
+      for (std::size_t j = 0; j <= n; ++j) {
+        if (visited[j]) {
+          u[owner[j]] += delta;
+          v[j] -= delta;
+        } else {
+          slack[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (owner[j0] != 0);
+    do {
+      const std::size_t j1 = way[j0];
+      owner[j0] = owner[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+
+  // 0-based matching and tightness under the final dual.
+  std::vector<std::size_t> col_of(n), row_of(n);
+  for (std::size_t j = 1; j <= n; ++j) {
+    row_of[j - 1] = owner[j] - 1;
+    col_of[owner[j] - 1] = j - 1;
+  }
+  auto tight = [&](std::size_t i, std::size_t j) {
+    return at(i, j) == u[i + 1] + v[j + 1];
+  };
+
+  // Fix the real rows in order. Row i may take tight column j when j is
+  // its own column, or j's owner r (a later row) can hand j over along
+  // an alternating path of tight cells ending at i's old column: r takes
+  // next[r], whose owner takes its next, ..., until one takes `freed`.
+  std::vector<std::size_t> next(n);
+  std::vector<bool> reaches(n);
+  std::vector<std::size_t> queue;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t freed = col_of[i];
+    std::fill(reaches.begin(), reaches.end(), false);
+    queue.assign(1, freed);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t c = queue[head];
+      for (std::size_t r = i + 1; r < n; ++r) {
+        if (reaches[r] || col_of[r] == c || !tight(r, c)) continue;
+        reaches[r] = true;
+        next[r] = c;
+        queue.push_back(col_of[r]);
+      }
+    }
+    std::size_t j = 0;
+    while (!tight(i, j) ||
+           (j != freed && (row_of[j] <= i || !reaches[row_of[j]]))) {
+      ++j;
+    }
+    if (j == freed) continue;
+    std::size_t r = row_of[j];
+    col_of[i] = j;
+    row_of[j] = i;
+    while (true) {
+      const std::size_t c = next[r];
+      const std::size_t previous = row_of[c];
+      col_of[r] = c;
+      row_of[c] = r;
+      if (c == freed) break;
+      r = previous;
+    }
+  }
+
+  int total = 0;
+  pick->resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int c = cost[i * cols + col_of[i]];
+    if (c >= kInfinity) return kInfinity;
+    total += c;
+    (*pick)[i] = static_cast<std::uint32_t>(col_of[i]);
+  }
+  return total;
+}
+
 /// Minimum-cost injective assignment of pattern edges to target edges
 /// within one group. Groups are tiny in practice — almost always a single
 /// edge, which is handled allocation-free; parallel same-label edges
-/// between one node pair fall back to exhaustive DFS.
+/// between one node pair go through min_cost_assignment.
 int min_group_assignment(
     const InternedGraph& pattern,
     const std::vector<std::uint32_t>& pattern_edges,
@@ -126,86 +248,30 @@ int min_group_assignment(
     return best;
   }
 
-  std::vector<std::vector<int>> cost(np, std::vector<int>(nt, 0));
+  std::vector<int> cost(np * nt);
   for (std::size_t i = 0; i < np; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
-      cost[i][j] = prop_cost(pattern.g.edge_props[pattern_edges[i]],
-                             target.g.edge_props[tgt[j]], model);
+      cost[i * nt + j] = prop_cost(pattern.g.edge_props[pattern_edges[i]],
+                                   target.g.edge_props[tgt[j]], model);
     }
   }
-  int best = kInfinity;
-  std::vector<int> assignment(np, -1);
-  std::vector<int> best_assignment;
-  std::vector<bool> used(nt, false);
-  auto dfs = [&](auto&& self, std::size_t i, int acc) -> void {
-    if (acc >= best) return;
-    if (i == np) {
-      best = acc;
-      best_assignment.assign(assignment.begin(), assignment.end());
-      return;
-    }
-    for (std::size_t j = 0; j < nt; ++j) {
-      if (used[j]) continue;
-      used[j] = true;
-      assignment[i] = static_cast<int>(j);
-      self(self, i + 1, acc + cost[i][j]);
-      used[j] = false;
-    }
-  };
-  dfs(dfs, 0, 0);
+  std::vector<std::uint32_t> pick;
+  const int best = min_cost_assignment(cost, np, nt, &pick);
   if (best >= kInfinity) return kInfinity;
   if (best_pairs_out != nullptr) {
     best_pairs_out->clear();
     for (std::size_t i = 0; i < np; ++i) {
-      best_pairs_out->emplace_back(
-          pattern_edges[i],
-          tgt[static_cast<std::size_t>(best_assignment[i])]);
+      best_pairs_out->emplace_back(pattern_edges[i], tgt[pick[i]]);
     }
   }
   return best;
 }
 
-/// Coordination block shared by the workers of one parallel search.
-/// The bound is read on every prune check by every worker while the
-/// step counter is written on every flush, so they live on separate
-/// cache lines — sharing one would put a hot read on a line invalidated
-/// by every worker's batch flush.
-struct SharedSearch {
-  /// Global best-cost bound, tightened monotonically by every recorded
-  /// solution. Pruned against with allow-equal semantics (see
-  /// SearchState) so determinism survives any interleaving.
-  alignas(64) std::atomic<int> bound{kInfinity};
-  /// Cooperative cancellation: set by the worker that trips the step
-  /// budget; every sibling unwinds within one flush batch.
-  std::atomic<bool> cancelled{false};
-  /// Steps across all workers (plus the serial prefix enumeration),
-  /// flushed in batches; the budget is enforced against this total.
-  alignas(64) std::atomic<std::size_t> steps{0};
-};
-
-/// Mutable state of one search participant. The serial search uses a
-/// single state with no `shared` block, writing directly to the caller's
-/// Stats — byte-for-byte the pre-parallel behaviour. Each parallel
-/// worker owns a private state (local Stats, local best) merged exactly
-/// once after the pool joins, so no counter is ever double-counted.
-struct SearchState {
-  std::vector<std::uint32_t> mapping;      // pattern index -> target index
-  std::vector<bool> reverse_used;          // target index taken?
-  std::vector<std::uint32_t> best_mapping;
-  int best_cost = kInfinity;
-  bool have_best = false;
-  bool found_any = false;
-  Stats* stats = nullptr;
-  SharedSearch* shared = nullptr;  // null in the serial search
-  std::size_t unflushed = 0;       // steps not yet flushed to shared
-};
-
 class SearchEngine {
  public:
   SearchEngine(const InternedGraph& pattern, const InternedGraph& target,
                bool bijective, const SearchOptions& options, Stats* stats)
-      : symbols_(*pattern.g.symbols),
-        pattern_(pattern),
+      : pattern_(pattern),
         target_(target),
         bijective_(bijective),
         options_(options),
@@ -237,25 +303,9 @@ class SearchEngine {
                   options_.cost_bounding;
     if (lb_pruning_) compute_suffix_min();
 
-    best_cost_ = kInfinity;
-    have_best_ = false;
-    // The parallel search needs at least one undecided level below the
-    // partition point and a well-defined "first solution" is only
-    // meaningful in DFS order, so first_solution_only stays serial.
-    if (options_.threads > 1 && !options_.first_solution_only &&
-        order_.size() > 1) {
-      run_parallel();
-    } else {
-      SearchState state;
-      init_state(state);
-      state.stats = stats_;
-      search(state, 0, 0);
-      if (state.have_best) {
-        best_cost_ = state.best_cost;
-        best_node_mapping_ = std::move(state.best_mapping);
-        have_best_ = true;
-      }
-    }
+    mapping_.assign(pattern_.g.node_count(), kUnmapped);
+    reverse_used_.assign(target_.g.node_count(), false);
+    search(0, 0);
     if (have_best_) {
       return build_matching();
     }
@@ -350,51 +400,16 @@ class SearchEngine {
     return true;
   }
 
-  /// Numeric-when-possible comparison value of the timestamp property.
-  double timestamp_value(const InternedGraph& side, std::uint32_t v,
-                         Symbol key) const {
-    if (key == graph::kNoSymbol) return 0;
-    Symbol value = graph::find_prop(side.g.node_props[v], key);
-    if (value == graph::kNoSymbol) return 0;
-    try {
-      return std::stod(symbols_.resolve(value));
-    } catch (const std::exception&) {
-      return static_cast<double>(symbols_.hash(value) % 100000);
-    }
-  }
-
-  /// Apply the configured candidate-ordering heuristic: the search stays
+  /// Cheapest candidate first, under both orders: the search stays
   /// exhaustive, but finding a near-optimal solution early lets the cost
-  /// bound prune the rest (§5.4 incremental-matching suggestion).
+  /// bound prune the rest. For WlScarcity this also makes the list head
+  /// equal the per-node minimum used by the suffix bound, so the greedy
+  /// first descent realizes the bound when it can.
   void order_candidates() {
-    if (options_.candidate_order == CandidateOrder::None) return;
-    if (options_.candidate_order == CandidateOrder::PropertyCost ||
-        options_.candidate_order == CandidateOrder::WlScarcity) {
-      // Cheapest candidate first; for WlScarcity this also makes the
-      // list head equal the per-node minimum used by the suffix bound,
-      // so the greedy first descent realizes the bound when it can.
-      for (std::vector<Candidate>& list : candidates_) {
-        std::stable_sort(list.begin(), list.end(),
-                         [](const Candidate& a, const Candidate& b) {
-                           return a.cost < b.cost;
-                         });
-      }
-      return;
-    }
-    // TimestampRank: align by per-label rank of the timestamp property.
-    // The key is looked up, not interned: if no element carries it, every
-    // value is 0 and the order is unchanged.
-    Symbol key = symbols_.lookup(options_.timestamp_key);
-    std::vector<double> target_time(target_.g.node_count());
-    for (std::uint32_t j = 0; j < target_.g.node_count(); ++j) {
-      target_time[j] = timestamp_value(target_, j, key);
-    }
-    for (std::uint32_t i = 0; i < pattern_.g.node_count(); ++i) {
-      double t = timestamp_value(pattern_, i, key);
-      std::stable_sort(candidates_[i].begin(), candidates_[i].end(),
-                       [&](const Candidate& a, const Candidate& b) {
-                         return std::abs(target_time[a.node] - t) <
-                                std::abs(target_time[b.node] - t);
+    for (std::vector<Candidate>& list : candidates_) {
+      std::stable_sort(list.begin(), list.end(),
+                       [](const Candidate& a, const Candidate& b) {
+                         return a.cost < b.cost;
                        });
     }
   }
@@ -560,224 +575,54 @@ class SearchEngine {
     return total;
   }
 
-  void init_state(SearchState& state) const {
-    state.mapping.assign(pattern_.g.node_count(), kUnmapped);
-    state.reverse_used.assign(target_.g.node_count(), false);
-  }
-
-  /// Publish a parallel participant's unflushed steps into the shared
-  /// counter and enforce the budget against the new total. Called every
-  /// kStepFlushBatch steps *and* when a task ends (tasks are small by
-  /// design — ~16 per thread — so most never fill a batch; without the
-  /// end-of-task check a fleet of sub-batch tasks could overrun the
-  /// budget unnoticed). The un-checked window is therefore at most one
-  /// batch per in-flight participant.
-  void flush_steps(SearchState& s) const {
-    if (s.unflushed == 0) return;
-    std::size_t total =
-        s.shared->steps.fetch_add(s.unflushed, std::memory_order_relaxed) +
-        s.unflushed;
-    s.unflushed = 0;
-    if (options_.step_budget > 0 && total > options_.step_budget) {
-      s.stats->budget_exhausted = true;
-      s.shared->cancelled.store(true, std::memory_order_relaxed);
+  /// One step of accounting against the budget.
+  void count_step() {
+    ++stats_->steps;
+    if (options_.step_budget > 0 && stats_->steps > options_.step_budget) {
+      stats_->budget_exhausted = true;
     }
   }
 
-  /// One step of accounting. Serial: the caller's Stats carry the count
-  /// and the budget check, exactly as before. Parallel: the worker's
-  /// local Stats accumulate (merged once at the end) and batches are
-  /// flushed through flush_steps — the hot step path touches no shared
-  /// cache line in between.
-  void count_step(SearchState& s) const {
-    ++s.stats->steps;
-    if (s.shared == nullptr) {
-      if (options_.step_budget > 0 && s.stats->steps > options_.step_budget) {
-        s.stats->budget_exhausted = true;
-      }
-      return;
-    }
-    if (++s.unflushed >= kStepFlushBatch) flush_steps(s);
+  bool stop_early() const {
+    return (options_.first_solution_only && found_any_) ||
+           stats_->budget_exhausted;
   }
 
-  /// Would a branch whose completed cost is at least `value` be cut?
-  /// The local bound is strict (serial semantics); the shared bound
-  /// allows equality, so a concurrently tightened bound can never prune
-  /// a subtree's first minimum-cost solution — the determinism linchpin.
-  bool bound_exceeded(const SearchState& s, int value) const {
-    if (value >= s.best_cost) return true;
-    if (s.shared != nullptr &&
-        value > s.shared->bound.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return false;
-  }
-
-  bool stop_early(const SearchState& s) const {
-    if (options_.first_solution_only && s.found_any) return true;
-    if (s.stats->budget_exhausted) return true;
-    if (s.shared != nullptr &&
-        s.shared->cancelled.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return false;
-  }
-
-  void search(SearchState& s, std::size_t pos, int acc_cost) const {
-    count_step(s);
-    if (s.stats->budget_exhausted) return;
-    if (s.shared != nullptr &&
-        s.shared->cancelled.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (options_.cost_bounding &&
-        bound_exceeded(s, acc_cost + suffix_lb(pos))) {
+  void search(std::size_t pos, int acc_cost) {
+    count_step();
+    if (stats_->budget_exhausted) return;
+    if (options_.cost_bounding && acc_cost + suffix_lb(pos) >= best_cost_) {
       return;
     }
     if (pos == order_.size()) {
-      if (acc_cost < s.best_cost || !s.have_best) {
-        s.best_cost = acc_cost;
-        s.best_mapping = s.mapping;
-        s.have_best = true;
-        if (s.shared != nullptr) atomic_min(s.shared->bound, acc_cost);
+      if (acc_cost < best_cost_ || !have_best_) {
+        best_cost_ = acc_cost;
+        best_node_mapping_ = mapping_;
+        have_best_ = true;
       }
-      ++s.stats->solutions_found;
-      s.found_any = true;
+      ++stats_->solutions_found;
+      found_any_ = true;
       return;
     }
     std::uint32_t i = order_[pos];
     for (const Candidate& candidate : candidates_[i]) {
       std::uint32_t j = candidate.node;
-      if (s.reverse_used[j]) continue;
-      if (stop_early(s)) return;
-      s.mapping[i] = j;
-      s.reverse_used[j] = true;
-      int group_cost = edge_groups_cost(s.mapping, i);
+      if (reverse_used_[j]) continue;
+      if (stop_early()) return;
+      mapping_[i] = j;
+      reverse_used_[j] = true;
+      int group_cost = edge_groups_cost(mapping_, i);
       if (group_cost < kInfinity) {
         int next = acc_cost + candidate.cost + group_cost;
         if (!options_.cost_bounding ||
-            !bound_exceeded(s, next + suffix_lb(pos + 1))) {
-          search(s, pos + 1, next);
+            next + suffix_lb(pos + 1) < best_cost_) {
+          search(pos + 1, next);
         }
       }
-      s.mapping[i] = kUnmapped;
-      s.reverse_used[j] = false;
-      if (stop_early(s)) return;
+      mapping_[i] = kUnmapped;
+      reverse_used_[j] = false;
+      if (stop_early()) return;
     }
-  }
-
-  /// The deterministic parallel search: enumerate every structurally
-  /// consistent assignment prefix down to a depth with enough subtrees
-  /// to feed the pool, run each subtree as an independent task, and
-  /// merge per-task winners in subtree (= serial DFS) order. The merge
-  /// picks the first strictly better cost, which — together with the
-  /// allow-equal shared bound — reproduces exactly the matching the
-  /// serial search would return.
-  void run_parallel() {
-    const std::size_t n = order_.size();
-    struct Prefix {
-      std::vector<std::uint32_t> nodes;  // target per order position
-      int acc = 0;
-    };
-    std::vector<Prefix> tasks(1);
-    std::size_t depth = 0;
-    // Oversubscribe the partition: subtree sizes are wildly uneven (the
-    // whole point of pruning), so many small tasks drained in order from
-    // the pool's shared counter keep every worker busy without work
-    // stealing. Enumeration stays a negligible serial prefix.
-    const std::size_t want = static_cast<std::size_t>(options_.threads) * 16;
-
-    SearchState scratch;
-    init_state(scratch);
-    scratch.stats = stats_;
-    while (depth + 1 < n && tasks.size() < want) {
-      std::vector<Prefix> next;
-      const std::uint32_t i = order_[depth];
-      for (const Prefix& prefix : tasks) {
-        for (std::size_t q = 0; q < depth; ++q) {
-          scratch.mapping[order_[q]] = prefix.nodes[q];
-          scratch.reverse_used[prefix.nodes[q]] = true;
-        }
-        for (const Candidate& candidate : candidates_[i]) {
-          const std::uint32_t j = candidate.node;
-          if (scratch.reverse_used[j]) continue;
-          count_step(scratch);  // enumeration steps are search steps
-          if (scratch.stats->budget_exhausted) return;
-          scratch.mapping[i] = j;
-          scratch.reverse_used[j] = true;
-          int group_cost = edge_groups_cost(scratch.mapping, i);
-          if (group_cost < kInfinity) {
-            Prefix extended = prefix;
-            extended.nodes.push_back(j);
-            extended.acc = prefix.acc + candidate.cost + group_cost;
-            next.push_back(std::move(extended));
-          }
-          scratch.mapping[i] = kUnmapped;
-          scratch.reverse_used[j] = false;
-        }
-        for (std::size_t q = 0; q < depth; ++q) {
-          scratch.mapping[order_[q]] = kUnmapped;
-          scratch.reverse_used[prefix.nodes[q]] = false;
-        }
-      }
-      tasks = std::move(next);
-      ++depth;
-      if (tasks.empty()) return;  // no structurally consistent prefix
-    }
-
-    SharedSearch shared;
-    shared.steps.store(stats_->steps, std::memory_order_relaxed);
-    runtime::ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : runtime::default_pool();
-
-    struct TaskResult {
-      Stats stats;
-      std::vector<std::uint32_t> best_mapping;
-      int best_cost = kInfinity;
-      bool have_best = false;
-    };
-    std::vector<TaskResult> results(tasks.size());
-    const std::size_t prefix_depth = depth;
-    pool.parallel_for(tasks.size(), [&](std::size_t t) {
-      // All hot state lives on the worker's own stack/heap; the shared
-      // `results` slot is written exactly once at the end. Pointing
-      // s.stats into results[t] directly would false-share the step
-      // counter across adjacent slots on every single step.
-      Stats local;
-      SearchState s;
-      init_state(s);
-      s.stats = &local;
-      s.shared = &shared;
-      for (std::size_t q = 0; q < prefix_depth; ++q) {
-        s.mapping[order_[q]] = tasks[t].nodes[q];
-        s.reverse_used[tasks[t].nodes[q]] = true;
-      }
-      if (!shared.cancelled.load(std::memory_order_relaxed)) {
-        search(s, prefix_depth, tasks[t].acc);
-      }
-      flush_steps(s);
-      results[t].stats = local;
-      if (s.have_best) {
-        results[t].best_cost = s.best_cost;
-        results[t].best_mapping = std::move(s.best_mapping);
-        results[t].have_best = true;
-      }
-    });
-
-    // Deterministic merge: totals are sums, the winner is the first
-    // subtree (in DFS order) with a strictly better cost.
-    stats_->steps = shared.steps.load(std::memory_order_relaxed);
-    bool exhausted = shared.cancelled.load(std::memory_order_relaxed);
-    for (const TaskResult& result : results) {
-      stats_->solutions_found += result.stats.solutions_found;
-      exhausted = exhausted || result.stats.budget_exhausted;
-      if (result.have_best && (!have_best_ || result.best_cost < best_cost_)) {
-        best_cost_ = result.best_cost;
-        best_node_mapping_ = result.best_mapping;
-        have_best_ = true;
-      }
-    }
-    if (exhausted) stats_->budget_exhausted = true;
   }
 
   /// Reconstruct the full matching (including the optimal edge pairing)
@@ -814,7 +659,6 @@ class SearchEngine {
     return m;
   }
 
-  const SymbolTable& symbols_;  // shared by both operands
   const InternedGraph& pattern_;
   const InternedGraph& target_;
   bool bijective_;
@@ -826,9 +670,12 @@ class SearchEngine {
   std::vector<std::uint32_t> order_;
   std::vector<int> suffix_min_;
   bool lb_pruning_ = false;
+  std::vector<std::uint32_t> mapping_;    // pattern index -> target index
+  std::vector<bool> reverse_used_;        // target index taken?
   std::vector<std::uint32_t> best_node_mapping_;
   int best_cost_ = kInfinity;
   bool have_best_ = false;
+  bool found_any_ = false;
 };
 
 // -- component decomposition --------------------------------------------------
@@ -987,37 +834,22 @@ std::optional<Matching> decomposed_isomorphism(const InternedGraph& g1,
     }
     // Ambiguous signature group: solve every pairing once, then pick the
     // cost-minimal assignment (lexicographically first on ties).
-    std::vector<std::vector<std::optional<Matching>>> cell(
-        k, std::vector<std::optional<Matching>>(k));
+    std::vector<std::optional<Matching>> cell(k * k);
+    std::vector<int> cost(k * k, kInfinity);
     for (std::size_t p = 0; p < k; ++p) {
       for (std::size_t t = 0; t < k; ++t) {
-        cell[p][t] =
-            best_isomorphism(*by_comp1[pat[p]], *by_comp2[tgt[t]], sub, stats);
+        std::optional<Matching>& m = cell[p * k + t];
+        m = best_isomorphism(*by_comp1[pat[p]], *by_comp2[tgt[t]], sub, stats);
         if (stats->budget_exhausted) return std::nullopt;
+        if (m.has_value()) cost[p * k + t] = m->cost;
       }
     }
-    int best = kInfinity;
-    std::vector<int> pick(k, -1), best_pick;
-    std::vector<bool> used(k, false);
-    auto dfs = [&](auto&& self, std::size_t row, int acc) -> void {
-      if (acc >= best) return;
-      if (row == k) {
-        best = acc;
-        best_pick = pick;
-        return;
-      }
-      for (std::size_t col = 0; col < k; ++col) {
-        if (used[col] || !cell[row][col].has_value()) continue;
-        used[col] = true;
-        pick[row] = static_cast<int>(col);
-        self(self, row + 1, acc + cell[row][col]->cost);
-        used[col] = false;
-      }
-    };
-    dfs(dfs, 0, 0);
-    if (best_pick.empty()) return std::nullopt;
+    std::vector<std::uint32_t> pick;
+    if (min_cost_assignment(cost, k, k, &pick) >= kInfinity) {
+      return std::nullopt;
+    }
     for (std::size_t p = 0; p < k; ++p) {
-      merge_matching(total, *cell[p][static_cast<std::size_t>(best_pick[p])]);
+      merge_matching(total, *cell[p * k + pick[p]]);
     }
   }
   return total;
@@ -1084,21 +916,10 @@ bool similar(const PropertyGraph& g1, const PropertyGraph& g2) {
 
 const char* order_name(CandidateOrder order) {
   switch (order) {
-    case CandidateOrder::None: return "none";
     case CandidateOrder::PropertyCost: return "cost";
-    case CandidateOrder::TimestampRank: return "time";
     case CandidateOrder::WlScarcity: return "wl";
   }
   return "?";
-}
-
-CandidateOrder parse_order(std::string_view name) {
-  for (CandidateOrder order :
-       {CandidateOrder::None, CandidateOrder::PropertyCost,
-        CandidateOrder::TimestampRank, CandidateOrder::WlScarcity}) {
-    if (name == order_name(order)) return order;
-  }
-  throw std::invalid_argument("unknown matcher order: " + std::string(name));
 }
 
 std::string strategy_name(const SearchConfig& config) {

@@ -26,13 +26,8 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "graph/property_graph.h"
-
-namespace provmark::runtime {
-class ThreadPool;
-}
 
 namespace provmark::matcher {
 
@@ -61,24 +56,17 @@ enum class CostModel {
 /// In which order candidate target nodes are tried for each pattern node.
 /// The search is exhaustive either way — ordering only decides how soon a
 /// good solution is found, which determines how hard branch-and-bound can
-/// prune. Implements the paper's §5.4 suggestion that "if matched nodes
-/// are usually produced in the same order (according to timestamps) ...
-/// it may be possible to incrementally match" the graphs.
+/// prune.
 enum class CandidateOrder {
-  /// Graph insertion order (the baseline behaviour).
-  None,
-  /// Cheapest node-property cost first: greedy best-first descent, no
-  /// domain knowledge needed.
+  /// Cheapest node-property cost first: greedy best-first descent. Not
+  /// the product order; kept because it is the order legacy:: implements,
+  /// so the compact-vs-legacy suites compare step traces under it.
   PropertyCost,
-  /// Closest rank of a timestamp-like property first (see
-  /// `SearchOptions::timestamp_key`): provenance elements are appended
-  /// roughly monotonically, so temporally aligned candidates almost
-  /// always belong to the optimal matching.
-  TimestampRank,
-  /// WL-colour-scarcity strategy. Candidate lists are pruned to the
-  /// matching WL colour class (bijective problem) and sorted
-  /// cheapest-cost first; the most-constrained-first node order breaks
-  /// candidate-count ties towards the rarer target colour class; and
+  /// WL-colour-scarcity strategy (the product order). Candidate lists
+  /// are pruned to the matching WL colour class (bijective problem) and
+  /// sorted cheapest-cost first; the most-constrained-first node order
+  /// breaks candidate-count ties towards the rarer target colour class;
+  /// and
   /// the cost bound is tightened with an admissible remaining-cost
   /// estimate (the sum of per-node minimum candidate costs over the
   /// unassigned suffix). Scarce colour classes have the fewest
@@ -107,15 +95,9 @@ struct SearchOptions {
   bool cost_bounding = true;
   /// Candidate ordering heuristic (see CandidateOrder).
   CandidateOrder candidate_order = CandidateOrder::PropertyCost;
-  /// Property key carrying per-element recording order, used by
-  /// CandidateOrder::TimestampRank (numeric comparison when possible).
-  std::string timestamp_key = "time";
   /// Abort after this many search steps; 0 = unlimited. A hit produces
   /// std::nullopt with `budget_exhausted` set in Stats. Guards against the
   /// worst-case exponential behaviour the paper accepts as a risk (§5.4).
-  /// In a parallel search the budget is shared by all workers and
-  /// enforced cooperatively (a worker that trips it cancels its
-  /// siblings), accurate to one flush batch per worker.
   std::size_t step_budget = 0;
   /// Solve independent weakly-connected components of the two graphs
   /// separately and sum their costs (bijective problem only; the
@@ -126,21 +108,6 @@ struct SearchOptions {
   /// is identical to the joint search — but the multiplicative
   /// cross-component candidate space becomes additive.
   bool component_decomposition = false;
-  /// Worker count for the deterministic parallel branch-and-bound;
-  /// <= 1 searches serially on the calling thread. The root-level
-  /// candidate space is partitioned into fixed prefix subtrees,
-  /// dispatched onto `pool`, and pruned against a shared monotonically
-  /// tightening best-cost bound; results (matching, cost,
-  /// budget-exhaustion on completion) are bit-identical to the serial
-  /// search under any interleaving. `Stats.steps` totals all workers
-  /// and may differ from the serial trace. first_solution_only searches
-  /// stay serial.
-  int threads = 1;
-  /// Pool for the parallel search; nullptr = runtime::default_pool().
-  /// A call made from a worker of this same pool offers its subtrees
-  /// to the pool's idle workers and searches the rest itself (the
-  /// runtime's nesting rule); a dedicated pool gives it its own width.
-  runtime::ThreadPool* pool = nullptr;
 };
 
 /// Step budget of every product search (SearchConfig's default). The
@@ -159,35 +126,32 @@ inline constexpr std::size_t kDefaultStepBudget = 10'000'000;
 /// WL-scarcity ordering with component decomposition — exhaustive and
 /// optimum-preserving like every order, and the one that stays
 /// tractable on generator-scale programs — under a finite budget.
+/// `order` and `decompose` stay settable: the equivalence tests and the
+/// repository benchmark spell out their reference search with them.
 struct SearchConfig {
   CandidateOrder order = CandidateOrder::WlScarcity;
   bool decompose = true;
-  int threads = 1;
   /// Per matcher call; 0 = unlimited. A search that reaches it reports
   /// Stats::budget_exhausted and the pipeline fails the run with
   /// failure_reason "search-budget".
   std::size_t step_budget = kDefaultStepBudget;
-  runtime::ThreadPool* pool = nullptr;
 
   void apply(SearchOptions& options) const {
     options.candidate_order = order;
     options.component_decomposition = decompose;
-    options.threads = threads;
-    options.pool = pool;
     options.step_budget = step_budget;
   }
 };
 
-/// The CLI spelling of an order: "none" | "cost" | "time" | "wl".
+/// The short spelling of an order: "cost" | "wl".
 const char* order_name(CandidateOrder order);
 
-/// Inverse of order_name; throws std::invalid_argument on anything else.
-CandidateOrder parse_order(std::string_view name);
-
 /// A canonical name of the strategy a config runs — the order's
-/// spelling, plus "+decompose" when decomposition is on — for
+/// spelling, plus "+decompose" when decomposition is on — for shard
 /// fingerprints that must tell result-affecting strategies apart
-/// (orders tie-break equal-cost matchings differently).
+/// (orders tie-break equal-cost matchings differently). The default
+/// reads "wl+decompose", which shards written by earlier builds carry,
+/// so the spelling must not change.
 std::string strategy_name(const SearchConfig& config);
 
 /// Search statistics, used by tests and the ablation benchmark.

@@ -12,6 +12,8 @@
 #include <string>
 #include <thread>
 
+#include "util/strings.h"
+
 namespace provmark::runtime {
 
 struct ThreadPool::Impl {
@@ -134,22 +136,7 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 int parse_thread_count(std::string_view text, std::string_view what) {
-  bool digits = !text.empty();
-  int value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      digits = false;
-      break;
-    }
-    // Saturate just past the cap, so a long digit string cannot overflow.
-    value = std::min(value * 10 + (c - '0'), kMaxThreads + 1);
-  }
-  if (!digits || value < 1 || value > kMaxThreads) {
-    throw std::invalid_argument(
-        std::string(what) + " must be a whole number from 1 to " +
-        std::to_string(kMaxThreads) + ", got '" + std::string(text) + "'");
-  }
-  return value;
+  return static_cast<int>(util::parse_count(text, what, 1, kMaxThreads));
 }
 
 int default_thread_count() {

@@ -79,15 +79,16 @@ class ThreadPool {
   int threads_;
 };
 
-/// The largest thread count a user may ask for (`--threads`,
-/// `--matcher-threads`, PROVMARK_THREADS): far above any core count this
+/// The largest thread or worker-process count a user may ask for
+/// (`--threads`, PROVMARK_THREADS, and the CLI's `--shards`,
+/// `--serve-workers` and `--members`): far above any core count this
 /// runs on, and small enough that a typo cannot ask the OS for millions
 /// of threads.
 inline constexpr int kMaxThreads = 256;
 
-/// `text` as a user-supplied thread count: decimal digits only (no sign,
-/// space or trailing characters) with a value in 1..kMaxThreads. Throws
-/// std::invalid_argument naming `what` and the accepted range otherwise.
+/// `text` as a user-supplied thread count: util::parse_count over
+/// 1..kMaxThreads. Throws std::invalid_argument naming `what` and the
+/// accepted range otherwise.
 int parse_thread_count(std::string_view text, std::string_view what);
 
 /// The number of threads a default-constructed runtime uses, resolved in

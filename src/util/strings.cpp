@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 
 namespace provmark::util {
 
@@ -74,6 +75,28 @@ std::string replace_all(std::string_view s, std::string_view from,
     out += to;
     start = pos + from.size();
   }
+}
+
+std::uint64_t parse_count(std::string_view text, std::string_view what,
+                          std::uint64_t min, std::uint64_t max) {
+  bool valid = !text.empty();
+  std::uint64_t value = 0;
+  for (char c : text) {
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    // Stop before value * 10 + digit would pass max (or overflow).
+    if (c < '0' || c > '9' || digit > max || value > (max - digit) / 10) {
+      valid = false;
+      break;
+    }
+    value = value * 10 + digit;
+  }
+  if (!valid || value < min) {
+    throw std::invalid_argument(
+        std::string(what) + " must be a whole number from " +
+        std::to_string(min) + " to " + std::to_string(max) + ", got '" +
+        std::string(text) + "'");
+  }
+  return value;
 }
 
 std::string format(const char* fmt, ...) {

@@ -1,6 +1,7 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,13 @@ std::string join(const std::vector<std::string>& pieces,
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string_view s, std::string_view from,
                         std::string_view to);
+
+/// `text` as a user-supplied whole number in min..max: decimal digits
+/// only — no sign, space, exponent or trailing characters. Throws
+/// std::invalid_argument naming `what` and the accepted range otherwise.
+/// The one parser behind every numeric command-line value.
+std::uint64_t parse_count(std::string_view text, std::string_view what,
+                          std::uint64_t min, std::uint64_t max);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -8,8 +8,8 @@
 //     stage accepts, for all six shipped recorders;
 //   * the textual program format and the Datalog fact format round-trip
 //     to fixpoints;
-//   * serial and parallel runs — pipeline pool, matcher workers,
-//     Datalog evaluation — are bit-identical;
+//   * serial and parallel runs — pipeline pool, Datalog evaluation —
+//     are bit-identical;
 //   * a 2-shard batch sweep over generated programs merges to the exact
 //     bytes of the single-process sweep.
 #include <gtest/gtest.h>
@@ -194,13 +194,12 @@ void expect_identical(const BenchmarkResult& a, const BenchmarkResult& b,
 }
 
 BenchmarkResult run_generated(const std::string& system, std::uint64_t seed,
-                              int pool_threads, int matcher_threads) {
+                              int pool_threads) {
   runtime::ThreadPool pool(pool_threads);
   PipelineOptions options;
   options.system = system;
   options.seed = 42;
   options.pool = &pool;
-  options.matcher.threads = matcher_threads;
   options.transform.neo4j_startup_rounds = 2;
   return run_benchmark(program_for_seed(seed), options);
 }
@@ -210,20 +209,9 @@ TEST(AdversarialParallelism, PipelinePoolWidthNeverChangesResults) {
   // recorders (audit: one vertex per record) on generated workloads:
   // pool width 1 vs 4 must be bit-identical.
   for (const char* system : {"camflow", "audit", "ebpf"}) {
-    BenchmarkResult serial = run_generated(system, 5, 1, 1);
-    BenchmarkResult parallel = run_generated(system, 5, 4, 1);
+    BenchmarkResult serial = run_generated(system, 5, 1);
+    BenchmarkResult parallel = run_generated(system, 5, 4);
     expect_identical(serial, parallel, std::string(system) + " pool=4");
-  }
-}
-
-TEST(AdversarialParallelism, MatcherWorkersNeverChangeResults) {
-  // Parallel branch-and-bound search inside generalization/comparison:
-  // optimal costs are preserved, so results match the serial matcher.
-  for (const char* system : {"spade", "audit"}) {
-    BenchmarkResult serial = run_generated(system, 9, 1, 1);
-    BenchmarkResult parallel = run_generated(system, 9, 4, 4);
-    expect_identical(serial, parallel,
-                     std::string(system) + " matcher.threads=4");
   }
 }
 

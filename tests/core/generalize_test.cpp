@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/algorithms.h"
 #include "graph/property_graph.h"
+#include "matcher/interned.h"
+#include "matcher/memo.h"
+#include "runtime/thread_pool.h"
 
 namespace provmark::core {
 namespace {
@@ -133,6 +137,40 @@ TEST(GeneralizeTrials, TwoTrialsSuffice) {
   auto result = generalize_trials({trial("1", "a"), trial("2", "b")});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->discarded, 0u);
+}
+
+TEST(MemoConcurrency, EachPairStoredExactlyOnce) {
+  // generalize_trials shares one SimilarityMemo across its pool workers.
+  // Hammer one memo with the same pairs from many threads; the
+  // duplicate-insert guard must keep one entry per distinct pair and
+  // the counters must stay consistent (no double-counted verdicts when
+  // the totals are merged into BenchmarkResult).
+  graph::SymbolTable symbols;
+  PropertyGraph a = trial("1", "a");
+  PropertyGraph b = trial("2", "b");
+  PropertyGraph c = garbled();
+  matcher::InternedGraph ia(a, symbols), ib(b, symbols), ic(c, symbols);
+  std::uint64_t da = graph::structural_digest(a);
+  std::uint64_t db = graph::structural_digest(b);
+  std::uint64_t dc = graph::structural_digest(c);
+
+  matcher::SimilarityMemo memo;
+  runtime::ThreadPool pool(8);
+  const std::size_t kCalls = 64;
+  pool.parallel_for(kCalls, [&](std::size_t i) {
+    if (i % 2 == 0) {
+      EXPECT_TRUE(memo.similar(da, db, ia, ib));
+    } else {
+      EXPECT_FALSE(memo.similar(da, dc, ia, ic));
+    }
+  });
+  // (ia,ib) is the only equal-digest pair ever solved; (ia,ic) is a
+  // digest-mismatch short-circuit and stores nothing.
+  EXPECT_EQ(memo.entries(), 1u);
+  EXPECT_EQ(memo.lookups(), kCalls);
+  // Everything but the (<= thread count) racing initial solves of
+  // (ia,ib) is answered from cache or short-circuit.
+  EXPECT_GE(memo.hits() + 9, kCalls);
 }
 
 }  // namespace

@@ -178,36 +178,5 @@ TEST(ParallelDeterminism, FewUnevenCellsIdenticalAt1248Threads) {
   }
 }
 
-TEST(ParallelDeterminism, MatcherSearchOnThePipelinePoolIdentical) {
-  // The parallel matcher search given the pipeline's own pool: inside a
-  // worker it now fans its subtrees out over that pool too, next to the
-  // similarity buckets of both variants. Every result must equal the
-  // serial run's (matcher_steps may differ: the parallel search counts
-  // steps from all workers).
-  BenchmarkResult serial = run_with_threads("camflow", "open", 1, 42);
-  for (int threads : {4, 8}) {
-    runtime::ThreadPool pool(threads);
-    std::vector<std::string> names = {"open", "rename", "close"};
-    std::vector<BenchmarkResult> results =
-        pool.parallel_map<BenchmarkResult>(
-            names, [&](const std::string& name, std::size_t) {
-              PipelineOptions options;
-              options.system = "camflow";
-              options.seed = 42;
-              options.pool = &pool;
-              options.matcher.threads = threads;
-              options.matcher.pool = &pool;
-              return run_benchmark(bench_suite::benchmark_by_name(name),
-                                   options);
-            });
-    expect_identical(serial, results[0],
-                     "same-pool matcher threads=" + std::to_string(threads));
-    for (std::size_t i = 1; i < names.size(); ++i) {
-      expect_identical(run_with_threads("camflow", names[i], 1, 42),
-                       results[i], names[i] + " same-pool matcher");
-    }
-  }
-}
-
 }  // namespace
 }  // namespace provmark::core

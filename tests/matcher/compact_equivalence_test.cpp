@@ -63,23 +63,19 @@ PropertyGraph shuffled_copy(const PropertyGraph& g, util::Rng& rng) {
 }
 
 /// The ablation grid the seed benchmarks exercise: every combination of
-/// pruning/bounding knobs, cost models and candidate orders.
+/// pruning/bounding knobs and cost models, under PropertyCost ordering
+/// (the one order legacy:: implements).
 std::vector<SearchOptions> ablation_configs() {
   std::vector<SearchOptions> configs;
   for (CostModel model :
        {CostModel::None, CostModel::OneSided, CostModel::Symmetric}) {
     for (bool pruning : {true, false}) {
       for (bool bounding : {true, false}) {
-        for (CandidateOrder order :
-             {CandidateOrder::None, CandidateOrder::PropertyCost,
-              CandidateOrder::TimestampRank}) {
-          SearchOptions options;
-          options.cost_model = model;
-          options.candidate_pruning = pruning;
-          options.cost_bounding = bounding;
-          options.candidate_order = order;
-          configs.push_back(options);
-        }
+        SearchOptions options;
+        options.cost_model = model;
+        options.candidate_pruning = pruning;
+        options.cost_bounding = bounding;
+        configs.push_back(options);
       }
     }
   }
@@ -191,6 +187,53 @@ TEST(EquivalenceEdgeCases, ParallelEdgesAndSelfLoops) {
     auto fast = best_isomorphism(g1, g2, options, &fast_stats);
     auto slow = legacy::best_isomorphism(g1, g2, options, &slow_stats);
     expect_identical(fast, fast_stats, slow, slow_stats, "parallel/self");
+  }
+}
+
+/// Two nodes joined by `k` parallel same-label edges with random
+/// properties from a small alphabet, so costs tie often.
+PropertyGraph parallel_edges(int k, const std::string& prefix,
+                             util::Rng& rng) {
+  PropertyGraph g;
+  g.add_node(prefix + "p", "Process");
+  g.add_node(prefix + "f", "Artifact");
+  for (int i = 0; i < k; ++i) {
+    graph::Properties props;
+    props["op"] = std::to_string(rng.next_below(3));
+    if (rng.chance(0.5)) props["time"] = std::to_string(rng.next_below(4));
+    g.add_edge(prefix + "e" + std::to_string(i), prefix + "p", prefix + "f",
+               "Used", std::move(props));
+  }
+  return g;
+}
+
+TEST(EquivalenceEdgeCases, ParallelEdgeGroupsMatchExhaustiveAssignment) {
+  // One edge group of k <= 12 parallel edges: the polynomial assignment
+  // must return exactly the cost and edge map of legacy::'s exhaustive
+  // DFS over all k! pairings, which keeps the first optimum in
+  // row-major order — for the bijective and the embedding problem.
+  for (int k = 2; k <= 12; ++k) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      util::Rng rng(static_cast<std::uint64_t>(k) * 131 + seed);
+      PropertyGraph g1 = parallel_edges(k, "a", rng);
+      PropertyGraph g2 = parallel_edges(k, "b", rng);
+      PropertyGraph wide = parallel_edges(k + 2, "c", rng);
+      const std::string context =
+          "k=" + std::to_string(k) + " seed=" + std::to_string(seed);
+      SearchOptions iso;
+      iso.cost_model = CostModel::Symmetric;
+      Stats fast_stats, slow_stats;
+      expect_identical(best_isomorphism(g1, g2, iso, &fast_stats), fast_stats,
+                       legacy::best_isomorphism(g1, g2, iso, &slow_stats),
+                       slow_stats, "iso " + context);
+      SearchOptions embed;
+      embed.cost_model = CostModel::OneSided;
+      Stats fast_embed, slow_embed;
+      expect_identical(
+          best_subgraph_embedding(g1, wide, embed, &fast_embed), fast_embed,
+          legacy::best_subgraph_embedding(g1, wide, embed, &slow_embed),
+          slow_embed, "embed " + context);
+    }
   }
 }
 

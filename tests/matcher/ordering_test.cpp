@@ -1,11 +1,11 @@
-// Tests for the candidate-ordering heuristics (the §5.4 incremental
-// matching extension): every ordering must return the same optimal cost;
-// the informed orderings must reach it with fewer search steps on
+// Tests for the candidate-ordering heuristics and component
+// decomposition: every strategy must return the same optimal cost; the
+// informed ones must reach it with fewer search steps on
 // automorphism-heavy instances.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
-#include <stdexcept>
 #include <string>
 
 #include "graph/property_graph.h"
@@ -59,30 +59,8 @@ TEST_P(OrderingTest, EmbeddingOptimalCost) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, OrderingTest,
-                         ::testing::Values(CandidateOrder::None,
-                                           CandidateOrder::PropertyCost,
-                                           CandidateOrder::TimestampRank,
+                         ::testing::Values(CandidateOrder::PropertyCost,
                                            CandidateOrder::WlScarcity));
-
-TEST(OrderingSteps, TimestampRankBeatsNoneOnAlignedGraphs) {
-  // Two trials of the same recording: element ranks align perfectly.
-  PropertyGraph g1 = repeated_fragments(7, 1000);
-  PropertyGraph g2 = repeated_fragments(7, 2000);  // shifted timestamps
-  SearchOptions base;
-  base.cost_model = CostModel::Symmetric;
-
-  Stats none_stats, rank_stats;
-  SearchOptions none = base;
-  none.candidate_order = CandidateOrder::None;
-  auto a = best_isomorphism(g1, g2, none, &none_stats);
-  SearchOptions rank = base;
-  rank.candidate_order = CandidateOrder::TimestampRank;
-  auto b = best_isomorphism(g1, g2, rank, &rank_stats);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->cost, b->cost);
-  EXPECT_LE(rank_stats.steps, none_stats.steps);
-}
 
 TEST(OrderingSteps, PropertyCostFindsCheapCandidateFirst) {
   // 1 pattern node, many candidates, only one property-identical: the
@@ -101,29 +79,6 @@ TEST(OrderingSteps, PropertyCostFindsCheapCandidateFirst) {
   auto matching = best_subgraph_embedding(bg, fg, options);
   ASSERT_TRUE(matching.has_value());
   EXPECT_EQ(matching->node_map.at("x"), "n7");
-  EXPECT_EQ(matching->cost, 0);
-}
-
-TEST(OrderingSteps, NonNumericTimestampsStillWork) {
-  PropertyGraph g1;
-  g1.add_node("a", "X", {{"time", "not-a-number"}});
-  PropertyGraph g2;
-  g2.add_node("b", "X", {{"time", "also-not"}});
-  SearchOptions options;
-  options.cost_model = CostModel::Symmetric;
-  options.candidate_order = CandidateOrder::TimestampRank;
-  EXPECT_TRUE(best_isomorphism(g1, g2, options).has_value());
-}
-
-TEST(OrderingSteps, MissingTimestampKeyIsHarmless) {
-  PropertyGraph g1 = repeated_fragments(3, 0);
-  PropertyGraph g2 = repeated_fragments(3, 0);
-  SearchOptions options;
-  options.cost_model = CostModel::Symmetric;
-  options.candidate_order = CandidateOrder::TimestampRank;
-  options.timestamp_key = "no-such-key";
-  auto matching = best_isomorphism(g1, g2, options);
-  ASSERT_TRUE(matching.has_value());
   EXPECT_EQ(matching->cost, 0);
 }
 
@@ -449,7 +404,7 @@ TEST(ComponentDecomposition, SharedBudgetAcrossComponents) {
   }
   SearchOptions options;
   options.cost_model = CostModel::None;
-  options.candidate_order = CandidateOrder::None;
+  options.candidate_order = CandidateOrder::PropertyCost;
   options.candidate_pruning = false;
   options.component_decomposition = true;
   options.step_budget = 10;
@@ -459,6 +414,43 @@ TEST(ComponentDecomposition, SharedBudgetAcrossComponents) {
   EXPECT_FALSE(result.has_value());
 }
 
+TEST(ComponentDecomposition, TwelveIdenticalComponentsStayPolynomial) {
+  // k structurally identical components whose pattern copies each carry
+  // one extra property: every one of the k*k pairings costs the same,
+  // so any pairing is optimal. An exhaustive pairing search re-proves
+  // that for each of the k! orders (~13x slower per extra component);
+  // the assignment routine settles it in polynomial time and, on the
+  // all-tied matrix, returns the first pairing: component i onto i.
+  const int k = 12;
+  PropertyGraph g1, g2;
+  for (int c = 0; c < k; ++c) {
+    std::string p = "c" + std::to_string(c);
+    for (PropertyGraph* g : {&g1, &g2}) {
+      g->add_node(p, "Process", {{"name", "bench"}});
+      g->add_node(p + "f", "Artifact", {{"path", "/tmp/scale"}});
+      g->add_edge(p + "e", p, p + "f", "Used", {{"operation", "creat"}});
+    }
+    g1.set_property(p + "f", "extra", std::to_string(c));
+  }
+  SearchOptions options;
+  options.cost_model = CostModel::Symmetric;
+  options.candidate_order = CandidateOrder::WlScarcity;
+  options.component_decomposition = true;
+  const auto start = std::chrono::steady_clock::now();
+  auto matching = best_isomorphism(g1, g2, options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(matching.has_value());
+  EXPECT_EQ(matching->cost, k);
+  EXPECT_LT(seconds, 1.0);
+  expect_valid_isomorphism(g1, g2, *matching);
+  for (int c = 0; c < k; ++c) {
+    std::string p = "c" + std::to_string(c);
+    EXPECT_EQ(matching->node_map.at(p), p);
+  }
+}
+
 
 // -- the product search configuration ----------------------------------------
 
@@ -466,8 +458,6 @@ TEST(SearchConfigDefaults, AreTheBoundedWlScarcitySearch) {
   const SearchConfig config;
   EXPECT_EQ(config.order, CandidateOrder::WlScarcity);
   EXPECT_TRUE(config.decompose);
-  EXPECT_EQ(config.threads, 1);
-  EXPECT_EQ(config.pool, nullptr);
   EXPECT_EQ(config.step_budget, kDefaultStepBudget);
   EXPECT_EQ(kDefaultStepBudget, 10'000'000u);
 
@@ -494,14 +484,11 @@ TEST(SearchConfigDefaults, EngineOptionsKeepTheBaselineEngine) {
   EXPECT_EQ(options.step_budget, 0u);
 }
 
-TEST(SearchConfigDefaults, OrderNamesRoundTrip) {
-  for (CandidateOrder order :
-       {CandidateOrder::None, CandidateOrder::PropertyCost,
-        CandidateOrder::TimestampRank, CandidateOrder::WlScarcity}) {
-    EXPECT_EQ(parse_order(order_name(order)), order);
-  }
+TEST(SearchConfigDefaults, StrategyNamesAreStable) {
+  // Shard fingerprints carry these spellings; shards written by earlier
+  // builds must keep merging.
+  EXPECT_STREQ(order_name(CandidateOrder::PropertyCost), "cost");
   EXPECT_STREQ(order_name(CandidateOrder::WlScarcity), "wl");
-  EXPECT_THROW(parse_order("fastest"), std::invalid_argument);
   EXPECT_EQ(strategy_name(SearchConfig{}), "wl+decompose");
   SearchConfig cost;
   cost.order = CandidateOrder::PropertyCost;

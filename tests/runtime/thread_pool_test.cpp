@@ -257,11 +257,11 @@ TEST(ThreadPool, ParseThreadCountRejectsMalformedAndOutOfRange) {
                           "257", "100000", "99999999999999999999", "1e3",
                           "4.0"}) {
     try {
-      parse_thread_count(bad, "--matcher-threads");
+      parse_thread_count(bad, "PROVMARK_THREADS");
       ADD_FAILURE() << "accepted '" << bad << "'";
     } catch (const std::invalid_argument& e) {
       std::string message = e.what();
-      EXPECT_NE(message.find("--matcher-threads"), std::string::npos)
+      EXPECT_NE(message.find("PROVMARK_THREADS"), std::string::npos)
           << message;
       EXPECT_NE(message.find(std::to_string(kMaxThreads)), std::string::npos)
           << "the error must name the cap: " << message;

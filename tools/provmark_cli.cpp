@@ -47,9 +47,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -190,24 +190,14 @@ constexpr const char* kUsage =
     "options:\n"
     "  --threads N  worker threads for the parallel runtime, 1..256\n"
     "               (default: PROVMARK_THREADS env var, then hardware\n"
-    "               concurrency)\n"
-    "  --matcher-threads N\n"
-    "               workers for the deterministic parallel matcher\n"
-    "               search inside generalization/comparison, 1..256\n"
-    "               (own pool, nests under --threads; default 1 =\n"
-    "               serial search; results are identical at any N)\n"
-    "  --matcher-order none|cost|time|wl\n"
-    "               candidate-ordering heuristic (default wl =\n"
-    "               WL-scarcity ordering + component decomposition;\n"
-    "               none|cost|time run without decomposition —\n"
-    "               optimal costs are unchanged by any choice). A\n"
-    "               matcher search past 10^7 steps fails the run\n"
+    "               concurrency). The matcher searches serially inside\n"
+    "               each task; a search past 10^7 steps fails the run\n"
     "               with reason 'search-budget'\n"
-    "  --seed S     pipeline seed (default 42); results are\n"
+    "  --seed S     pipeline seed, 0..2^64-1 (default 42); results are\n"
     "               deterministic per seed at any thread count\n"
-    "  --shards N   (batch) partition the sweep into N shards. Without\n"
-    "               --shard-id: spawn N worker processes, wait, and\n"
-    "               merge their artifacts into <output-dir>; shards\n"
+    "  --shards N   (batch) partition the sweep into N shards, 1..256.\n"
+    "               Without --shard-id: spawn N worker processes, wait,\n"
+    "               and merge their artifacts into <output-dir>; shards\n"
     "               already complete under <output-dir>/shard-K/ are\n"
     "               skipped (resume)\n"
     "  --shard-id K (batch, with --shards) run only shard K (0-based)\n"
@@ -255,6 +245,8 @@ constexpr const char* kUsage =
     "               across runs, shard counts and hosts (the shard\n"
     "               identity gates run with this on)\n"
     "  --help       this text\n"
+    "numeric values are whole decimal numbers (no sign, space or suffix)\n"
+    "in the range the option states; anything else exits 2\n"
     "\n"
     "systems: spade|spg, spn, opus|opu, camflow|cam, spade-camflow,\n"
     "         audit|aud, ebpf|bpf\n"
@@ -277,17 +269,34 @@ int bad_usage(const std::string& message) {
   return 2;
 }
 
-/// A thread count option's value; prints a usage error naming the
-/// accepted range and returns nullopt when it is malformed or out of
-/// range.
-std::optional<int> thread_count_arg(std::string_view what,
-                                    std::string_view text) {
+/// A malformed command line: main() reports it through bad_usage (exit
+/// 2) instead of as a runtime error (exit 1).
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+/// Cap of the options that start one thread or process per unit.
+constexpr std::uint64_t kMaxWorkers = runtime::kMaxThreads;
+
+/// The value `text` of numeric option `flag`: a whole number in
+/// min..max (util::parse_count), else a UsageError naming the range.
+std::uint64_t count_arg(std::string_view flag, std::string_view text,
+                        std::uint64_t min, std::uint64_t max) {
   try {
-    return runtime::parse_thread_count(text, what);
+    return util::parse_count(text, flag, min, max);
   } catch (const std::invalid_argument& e) {
-    bad_usage(e.what());
-    return std::nullopt;
+    throw UsageError(e.what());
   }
+}
+
+/// count_arg for the value following option `args[i]` of a subcommand.
+std::uint64_t count_option(const std::vector<std::string>& args,
+                           std::size_t i, std::uint64_t min,
+                           std::uint64_t max) {
+  if (i + 1 >= args.size()) throw UsageError(args[i] + " needs a value");
+  return count_arg(args[i], args[i + 1], min, max);
 }
 
 bench_suite::BenchmarkProgram find_program(
@@ -318,7 +327,6 @@ bench_suite::BenchmarkProgram find_program(
 struct CliOptions {
   runtime::ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
-  matcher::SearchConfig matcher;
   int shards = 0;         ///< 0 = unsharded batch
   int shard_id = -1;      ///< >= 0: run only this shard
   int shard_retries = 2;  ///< extra launches per shard (orchestrator)
@@ -339,7 +347,6 @@ int run_single(const CliOptions& cli, const std::string& system,
   options.trials = trials;
   options.seed = cli.seed;
   options.pool = cli.pool;
-  options.matcher = cli.matcher;
   core::BenchmarkResult result = core::run_benchmark(
       find_program(benchmark, cli.max_input_bytes), options);
   std::printf("%s\n\n", core::summarize(result).c_str());
@@ -390,11 +397,10 @@ int run_batch(const CliOptions& cli, const char* argv0,
 
   core::ShardPlan plan = core::plan_batch(
       systems, core::table_benchmark_names(), std::max(1, cli.shards),
-      cli.seed, result_type, cli.deterministic_timings, cli.matcher);
+      cli.seed, result_type, cli.deterministic_timings);
   core::CellRunOptions cell_options;
   cell_options.seed = cli.seed;
   cell_options.pool = cli.pool;
-  cell_options.matcher = cli.matcher;
   cell_options.deterministic_timings = cli.deterministic_timings;
 
   if (cli.shards <= 0) {
@@ -557,30 +563,26 @@ int run_merge(const std::string& output_dir,
 int run_gen(const CliOptions& cli, const std::vector<std::string>& args) {
   bench_suite::GeneratorOptions options;
   options.seed = cli.seed;  // the leading global --seed is honoured too
-  auto numeric = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
-    }
-    return args[i + 1];
-  };
+  // The process-tree shape multiplies depth by fan-out in an int.
+  constexpr std::uint64_t kMaxTreeShape = 10'000;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--seed") {
-      options.seed = std::stoull(numeric(i, "--seed"));
+      options.seed = count_option(args, i, 0, kMaxU64);
       ++i;
     } else if (args[i] == "--scale") {
-      options.scale = std::stoi(numeric(i, "--scale"));
-      if (options.scale < 1) {
-        throw std::invalid_argument("--scale must be >= 1");
-      }
+      options.scale = static_cast<int>(count_option(args, i, 1, kMaxInt));
       ++i;
     } else if (args[i] == "--depth") {
-      options.depth = std::stoi(numeric(i, "--depth"));
+      options.depth =
+          static_cast<int>(count_option(args, i, 0, kMaxTreeShape));
       ++i;
     } else if (args[i] == "--fan-out") {
-      options.fan_out = std::stoi(numeric(i, "--fan-out"));
+      options.fan_out =
+          static_cast<int>(count_option(args, i, 0, kMaxTreeShape));
       ++i;
     } else if (args[i] == "--hostile") {
-      options.hostile_probability = std::stod(numeric(i, "--hostile"));
+      if (i + 1 >= args.size()) throw UsageError("--hostile needs a value");
+      options.hostile_probability = std::stod(args[i + 1]);
       ++i;
     } else if (args[i] == "--no-network") {
       options.network = false;
@@ -662,6 +664,25 @@ int run_query(const std::string& facts_path, const std::string& pattern,
   return rows.empty() ? 1 : 0;
 }
 
+/// The per-daemon options `serve` and `cluster` share: when `args[i]` is
+/// one of them, stores its value into `service` and returns true.
+bool parse_service_option(const std::vector<std::string>& args,
+                          std::size_t i, serve::ServiceOptions& service) {
+  if (args[i] == "--serve-workers") {
+    service.workers =
+        static_cast<int>(count_option(args, i, 0, kMaxWorkers));
+  } else if (args[i] == "--queue-cap") {
+    service.global_queue_cap = count_option(args, i, 0, kMaxU64);
+  } else if (args[i] == "--session-cap") {
+    service.session_queue_cap = count_option(args, i, 0, kMaxU64);
+  } else if (args[i] == "--checkpoint-every") {
+    service.checkpoint_every = count_option(args, i, 0, kMaxU64);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 int run_serve(const CliOptions& cli, const std::vector<std::string>& args) {
   if (args.size() < 2) {
     return bad_usage(
@@ -674,33 +695,12 @@ int run_serve(const CliOptions& cli, const std::vector<std::string>& args) {
   options.service.root = args[1];
   options.service.seed = cli.seed;
   options.service.workers = 2;
-  options.service.pipeline.matcher = cli.matcher;
   options.service.pipeline.pool = nullptr;  // sessions use serial pools
   if (cli.max_input_bytes_set) {
     options.service.max_payload_bytes = cli.max_input_bytes;
   }
-  auto positive = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
-    }
-    long long value = std::stoll(args[i + 1]);
-    if (value < 0) {
-      throw std::invalid_argument(std::string(flag) + " must be >= 0");
-    }
-    return static_cast<std::uint64_t>(value);
-  };
   for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--serve-workers") {
-      options.service.workers = static_cast<int>(positive(i, args[i].c_str()));
-      ++i;
-    } else if (args[i] == "--queue-cap") {
-      options.service.global_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--session-cap") {
-      options.service.session_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--checkpoint-every") {
-      options.service.checkpoint_every = positive(i, args[i].c_str());
+    if (parse_service_option(args, i, options.service)) {
       ++i;
     } else if (args[i] == "--replica-of") {
       if (i + 1 >= args.size()) {
@@ -717,14 +717,11 @@ int run_serve(const CliOptions& cli, const std::vector<std::string>& args) {
       ++i;
     } else if (args[i] == "--heartbeat-ms") {
       options.heartbeat_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.heartbeat_ms <= 0) {
-        return bad_usage("--heartbeat-ms must be > 0");
-      }
+          static_cast<double>(count_option(args, i, 1, kMaxInt));
       ++i;
     } else if (args[i] == "--promote-after") {
       options.promote_after_missed =
-          static_cast<int>(positive(i, args[i].c_str()));
+          static_cast<int>(count_option(args, i, 0, kMaxInt));
       ++i;
     } else {
       return bad_usage("unknown serve option '" + args[i] + "'");
@@ -752,70 +749,39 @@ int run_cluster_command(const CliOptions& cli,
   options.root = args[1];
   options.service.seed = cli.seed;
   options.service.workers = 2;
-  options.service.pipeline.matcher = cli.matcher;
   options.service.pipeline.pool = nullptr;  // members use serial pools
   options.fault_spec = cli.fault_spec;
   if (cli.max_input_bytes_set) {
     options.service.max_payload_bytes = cli.max_input_bytes;
   }
-  auto positive = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
-    }
-    long long value = std::stoll(args[i + 1]);
-    if (value < 0) {
-      throw std::invalid_argument(std::string(flag) + " must be >= 0");
-    }
-    return static_cast<std::uint64_t>(value);
-  };
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i] == "--members") {
-      options.members = static_cast<int>(positive(i, args[i].c_str()));
-      if (options.members < 1) {
-        return bad_usage("--members must be >= 1");
-      }
+      options.members =
+          static_cast<int>(count_option(args, i, 1, kMaxWorkers));
       ++i;
     } else if (args[i] == "--member-window") {
-      options.member_window = static_cast<int>(positive(i, args[i].c_str()));
-      if (options.member_window < 1) {
-        return bad_usage("--member-window must be >= 1");
-      }
+      options.member_window =
+          static_cast<int>(count_option(args, i, 1, kMaxInt));
       ++i;
     } else if (args[i] == "--heartbeat-ms") {
       options.heartbeat_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.heartbeat_ms <= 0) {
-        return bad_usage("--heartbeat-ms must be > 0");
-      }
+          static_cast<double>(count_option(args, i, 1, kMaxInt));
       ++i;
     } else if (args[i] == "--heartbeat-deadline-ms") {
       options.heartbeat_deadline_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
+          static_cast<double>(count_option(args, i, 0, kMaxInt));
       ++i;
     } else if (args[i] == "--start-deadline-ms") {
       options.start_deadline_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.start_deadline_ms <= 0) {
-        return bad_usage("--start-deadline-ms must be > 0");
-      }
+          static_cast<double>(count_option(args, i, 1, kMaxInt));
       ++i;
     } else if (args[i] == "--max-restarts") {
-      if (i + 1 >= args.size()) {
-        return bad_usage("--max-restarts needs a value");
-      }
-      options.max_restarts = std::stoi(args[i + 1]);
+      // -1 (restart forever) or a count.
+      const bool forever = i + 1 < args.size() && args[i + 1] == "-1";
+      options.max_restarts =
+          forever ? -1 : static_cast<int>(count_option(args, i, 0, kMaxInt));
       ++i;
-    } else if (args[i] == "--serve-workers") {
-      options.service.workers = static_cast<int>(positive(i, args[i].c_str()));
-      ++i;
-    } else if (args[i] == "--queue-cap") {
-      options.service.global_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--session-cap") {
-      options.service.session_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--checkpoint-every") {
-      options.service.checkpoint_every = positive(i, args[i].c_str());
+    } else if (parse_service_option(args, i, options.service)) {
       ++i;
     } else {
       return bad_usage("unknown cluster option '" + args[i] + "'");
@@ -837,13 +803,7 @@ int run_feed_command(const CliOptions& cli,
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--feed-retries") {
-      if (i + 1 >= args.size()) {
-        return bad_usage("--feed-retries needs a value");
-      }
-      feed.retries = std::stoi(args[i + 1]);
-      if (feed.retries < 0) {
-        return bad_usage("--feed-retries must be >= 0");
-      }
+      feed.retries = static_cast<int>(count_option(args, i, 0, kMaxInt));
       ++i;
     } else {
       positional.push_back(args[i]);
@@ -881,7 +841,6 @@ int main(int argc, char** argv) {
 
   CliOptions cli;
   std::unique_ptr<runtime::ThreadPool> owned_pool;
-  std::unique_ptr<runtime::ThreadPool> matcher_pool;
   // Peel leading options off before the subcommand.
   try {
     // The default pool reads PROVMARK_THREADS lazily; check it up front
@@ -897,42 +856,33 @@ int main(int argc, char** argv) {
         return 0;
       }
       if (args[0] == "--threads" && args.size() >= 2) {
-        std::optional<int> threads = thread_count_arg("--threads", args[1]);
-        if (!threads) return 2;
-        owned_pool = std::make_unique<runtime::ThreadPool>(*threads);
+        owned_pool = std::make_unique<runtime::ThreadPool>(
+            static_cast<int>(count_arg("--threads", args[1], 1, kMaxWorkers)));
         cli.pool = owned_pool.get();
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
       if (args[0] == "--shards" && args.size() >= 2) {
-        cli.shards = std::stoi(args[1]);
-        if (cli.shards < 1) {
-          throw std::invalid_argument("--shards must be >= 1");
-        }
+        cli.shards =
+            static_cast<int>(count_arg("--shards", args[1], 1, kMaxWorkers));
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
       if (args[0] == "--shard-id" && args.size() >= 2) {
-        cli.shard_id = std::stoi(args[1]);
-        if (cli.shard_id < 0) {
-          throw std::invalid_argument("--shard-id must be >= 0");
-        }
+        cli.shard_id = static_cast<int>(
+            count_arg("--shard-id", args[1], 0, kMaxWorkers - 1));
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
       if (args[0] == "--shard-retries" && args.size() >= 2) {
-        cli.shard_retries = std::stoi(args[1]);
-        if (cli.shard_retries < 0) {
-          throw std::invalid_argument("--shard-retries must be >= 0");
-        }
+        cli.shard_retries =
+            static_cast<int>(count_arg("--shard-retries", args[1], 0, kMaxInt));
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
       if (args[0] == "--shard-attempt" && args.size() >= 2) {
-        cli.shard_attempt = std::stoi(args[1]);
-        if (cli.shard_attempt < 0) {
-          throw std::invalid_argument("--shard-attempt must be >= 0");
-        }
+        cli.shard_attempt =
+            static_cast<int>(count_arg("--shard-attempt", args[1], 0, kMaxInt));
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
@@ -948,39 +898,15 @@ int main(int argc, char** argv) {
         args.erase(args.begin());
         continue;
       }
-      if (args[0] == "--matcher-threads" && args.size() >= 2) {
-        // A dedicated pool of its own width: the search offers its
-        // subtrees to these workers whether or not the pipeline's
-        // workers are busy (see runtime/thread_pool.h on nesting).
-        std::optional<int> threads =
-            thread_count_arg("--matcher-threads", args[1]);
-        if (!threads) return 2;
-        cli.matcher.threads = *threads;
-        if (cli.matcher.threads > 1) {
-          matcher_pool =
-              std::make_unique<runtime::ThreadPool>(cli.matcher.threads);
-          cli.matcher.pool = matcher_pool.get();
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--matcher-order" && args.size() >= 2) {
-        cli.matcher.order = matcher::parse_order(args[1]);
-        // WL scarcity brings component decomposition along (both halves
-        // of the strategy preserve optimal costs); the older orders run
-        // without it, exactly as before decomposition existed.
-        cli.matcher.decompose =
-            cli.matcher.order == matcher::CandidateOrder::WlScarcity;
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
       if (args[0] == "--seed" && args.size() >= 2) {
-        cli.seed = std::stoull(args[1]);
+        cli.seed = count_arg("--seed", args[1], 0, kMaxU64);
         args.erase(args.begin(), args.begin() + 2);
         continue;
       }
       if (args[0] == "--max-input-bytes" && args.size() >= 2) {
-        cli.max_input_bytes = std::stoull(args[1]);
+        cli.max_input_bytes =
+            count_arg("--max-input-bytes", args[1], 0,
+                      std::numeric_limits<std::size_t>::max());
         cli.max_input_bytes_set = true;
         args.erase(args.begin(), args.begin() + 2);
         continue;
@@ -994,8 +920,11 @@ int main(int argc, char** argv) {
             "run needs: provmark [options] run <system> <benchmark> "
             "[trials]");
       }
-      return run_single(cli, args[1], args[2],
-                        args.size() == 4 ? std::stoi(args[3]) : 0);
+      return run_single(
+          cli, args[1], args[2],
+          args.size() == 4
+              ? static_cast<int>(count_arg("trials", args[3], 0, kMaxInt))
+              : 0);
     }
     if (args[0] == "batch") {
       if (args.size() != 3 && args.size() != 4) {
@@ -1064,6 +993,8 @@ int main(int argc, char** argv) {
                    "again\n");
     }
     return 3;
+  } catch (const UsageError& e) {
+    return bad_usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
